@@ -5,21 +5,23 @@
 // on a Table-1-scale PIM A dataset. Reports wall time, speedup over the
 // serial path, and candidate pairs scored per second.
 //
-// Section 2 — fixed-point solve: the deterministic wavefront drain
-// (ReconcilerOptions::parallel_fixed_point, DESIGN.md §9) on PIM B. The
-// graph is built untimed per rep; the solve is timed best-of-three and
-// broken down into the parallel score phase and the region-partitioned
-// commit phase (DESIGN.md §13). commit_speedup in the JSON rows is the
-// gate tools/run_benches.sh --gate-speedup checks.
+// Section 2 — end to end: Reconciler::Run on PIM B, the pipeline callers
+// really execute (parallel candidates and staging, serial fixed-point
+// drain). Thread counts are interleaved within each of kRunReps
+// repetitions so drift on a shared machine hits every count alike; rows
+// report the median and the spread. tools/run_benches.sh --gate-speedup
+// requires the threads=4 median to be no slower than the threads=1 median.
 //
 // At every thread count both sections check the output against the
 // one-thread run — partitions, merged pairs, merge and fold counts — and
 // the binary exits non-zero on any difference: parallelism must never
 // change the output.
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "runtime/thread_pool.h"
@@ -34,6 +36,17 @@ bool SameOutput(const ReconcileResult& a, const ReconcileResult& b) {
   return a.cluster == b.cluster && a.merged_pairs == b.merged_pairs &&
          a.stats.num_merges == b.stats.num_merges &&
          a.stats.num_folds == b.stats.num_folds;
+}
+
+/// Interleaved repetitions of the end-to-end thread curve.
+constexpr int kRunReps = 5;
+
+/// Median of `samples` (sorted in place).
+double Median(std::vector<double>& samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2]
+                    : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
 }
 
 }  // namespace
@@ -102,91 +115,67 @@ int main(int argc, char** argv) {
     table.Print(std::cout);
   }
 
-  // ---- Section 2: fixed-point solve scaling (PIM B) --------------------
+  // ---- Section 2: end-to-end Reconciler::Run scaling (PIM B) ----------
   {
     datagen::PimConfig config = datagen::PimConfigB();
     const double scale = bench::BenchScale();
     if (scale < 1.0) config = datagen::ScaleConfig(config, scale);
     const Dataset dataset = datagen::GeneratePim(config);
-    std::cout << "\nFixed-point solve (wavefront rounds), PIM B: "
-              << dataset.num_references() << " references\n\n";
+    std::cout << "\nEnd to end (Reconciler::Run), PIM B: "
+              << dataset.num_references() << " references, " << kRunReps
+              << " interleaved reps\n\n";
 
-    TablePrinter table({"Threads", "Solve s", "Score s", "Commit s",
-                        "Rounds", "Waves", "Regions", "Speedup", "Output"});
+    const std::vector<int> kThreads = {1, 2, 4, 8};
+    std::vector<std::vector<double>> samples(kThreads.size());
     ReconcileResult serial_result;
-    double serial_seconds = 0;
-    double serial_commit_seconds = 0;
-    for (const int threads : {1, 2, 4, 8}) {
-      ReconcilerOptions options = ReconcilerOptions::DepGraph();
-      options.num_threads = threads;
-      const Reconciler reconciler(options);
-      ReconcileResult result;
-      double best_seconds = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        BuiltGraph built = BuildDependencyGraph(dataset, options);
+    for (int rep = 0; rep < kRunReps; ++rep) {
+      for (size_t t = 0; t < kThreads.size(); ++t) {
+        ReconcilerOptions options = ReconcilerOptions::DepGraph();
+        options.num_threads = kThreads[t];
         Timer timer;
-        ReconcileResult r = reconciler.RunOnGraph(dataset, built);
-        const double seconds = timer.ElapsedSeconds();
-        if (rep == 0 || seconds < best_seconds) {
-          best_seconds = seconds;
-          result = std::move(r);
+        ReconcileResult result = Reconciler(options).Run(dataset);
+        samples[t].push_back(timer.ElapsedSeconds());
+        if (rep == 0 && t == 0) {
+          serial_result = std::move(result);
+        } else if (!SameOutput(serial_result, result)) {
+          std::cerr << "FATAL: Run output at " << kThreads[t]
+                    << " threads differs from one thread\n";
+          return 1;
         }
       }
-      if (threads == 1) {
-        serial_seconds = best_seconds;
-        serial_commit_seconds = result.stats.solve_commit_seconds;
-        serial_result = result;
-      }
-      const bool identical = SameOutput(serial_result, result);
-      const ReconcileStats& s = result.stats;
-      table.AddRow({std::to_string(threads),
-                    TablePrinter::Num(best_seconds, 3),
-                    TablePrinter::Num(s.solve_score_seconds, 3),
-                    TablePrinter::Num(s.solve_commit_seconds, 3),
-                    std::to_string(s.num_solver_rounds),
-                    std::to_string(s.num_commit_waves),
-                    std::to_string(s.num_commit_regions),
-                    TablePrinter::Num(serial_seconds / best_seconds, 2) + "x",
-                    identical ? "identical" : "MISMATCH"});
+    }
+
+    TablePrinter table(
+        {"Threads", "Median s", "Min s", "Max s", "Speedup", "Refs/s"});
+    double serial_median = 0;
+    for (size_t t = 0; t < kThreads.size(); ++t) {
+      const double median = Median(samples[t]);
+      const double lo = samples[t].front();
+      const double hi = samples[t].back();
+      if (t == 0) serial_median = median;
+      table.AddRow({std::to_string(kThreads[t]), TablePrinter::Num(median, 3),
+                    TablePrinter::Num(lo, 3), TablePrinter::Num(hi, 3),
+                    TablePrinter::Num(serial_median / median, 2) + "x",
+                    TablePrinter::Num(dataset.num_references() / median, 0)});
       json.BeginRow();
-      json.Add("section", std::string("solve"));
-      json.Add("threads", threads);
-      json.Add("solve_seconds", best_seconds);
-      json.Add("solve_score_seconds", s.solve_score_seconds);
-      json.Add("solve_commit_seconds", s.solve_commit_seconds);
-      json.Add("solver_rounds", s.num_solver_rounds);
-      json.Add("parallel_scored", s.num_parallel_scored);
-      json.Add("score_hits", s.num_score_hits);
-      json.Add("serial_rescores", s.num_serial_rescores);
-      json.Add("score_discards", s.num_score_discards);
-      json.Add("commit_waves", s.num_commit_waves);
-      json.Add("commit_regions", s.num_commit_regions);
-      json.Add("wave_commits", s.num_wave_commits);
-      json.Add("commit_deferrals", s.num_commit_deferrals);
-      json.Add("graph_bytes", s.graph_bytes);
-      json.Add("speedup", serial_seconds / best_seconds);
-      json.Add("commit_speedup",
-               serial_commit_seconds / s.solve_commit_seconds);
-      json.Add("references_per_sec", dataset.num_references() / best_seconds);
-      json.Add("identical",
-               identical ? std::string("true") : std::string("false"));
-      if (!identical) {
-        std::cerr << "FATAL: solve output at " << threads
-                  << " threads differs from one thread\n";
-        return 1;
-      }
+      json.Add("section", std::string("run"));
+      json.Add("threads", kThreads[t]);
+      json.Add("reps", kRunReps);
+      json.Add("run_seconds_median", median);
+      json.Add("run_seconds_min", lo);
+      json.Add("run_seconds_max", hi);
+      json.Add("speedup", serial_median / median);
+      json.Add("references_per_sec", dataset.num_references() / median);
+      json.Add("graph_bytes", serial_result.stats.graph_bytes);
+      json.Add("identical", std::string("true"));
     }
     table.Print(std::cout);
   }
 
   json.Write(bench::JsonPathFromArgs(argc, argv));
-  std::cout << "\nSpeedup is bounded by the hardware thread count above. "
-               "The commit phase\nnow partitions each wave by connected "
-               "region and commits disjoint regions\nin parallel "
-               "(DESIGN.md §13); output stays byte-identical at every "
-               "thread\ncount, checked above. On a 1-CPU container every "
-               "speedup is ~1x by\nconstruction; tools/run_benches.sh "
-               "--gate-speedup applies the scaling gate\nonly when the "
-               "hardware can express it.\n";
+  std::cout << "\nSpeedup is bounded by the hardware thread count above; "
+               "output is\nbyte-identical at every thread count, checked "
+               "above. tools/run_benches.sh\n--gate-speedup applies the "
+               "end-to-end gate only when the hardware can\nexpress it.\n";
   return 0;
 }

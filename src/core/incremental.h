@@ -33,8 +33,9 @@ namespace recon {
 /// Reconciler when either matters.
 class IncrementalReconciler {
  public:
-  /// Starts from `initial` (possibly empty of references) and reconciles
-  /// it in full.
+  /// Starts from `initial` (possibly empty of references) and stages its
+  /// references without reconciling them: the first Flush(), clusters()
+  /// or result() reconciles them, through the same path as later batches.
   IncrementalReconciler(Dataset initial, ReconcilerOptions options);
 
   IncrementalReconciler(const IncrementalReconciler&) = delete;

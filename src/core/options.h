@@ -114,12 +114,11 @@ struct ReconcilerOptions {
   /// exceeds this bound (guards against mailing-list-like references).
   int max_assoc_cross = 20000;
 
-  /// Threads for the parallel phases (candidate generation, canopy feature
-  /// extraction, pairwise scoring during graph build, and — when
-  /// parallel_fixed_point is on — the solve phase's wavefront scoring):
+  /// Threads for the parallel phases: candidate generation, canopy
+  /// feature extraction, and pairwise scoring and staging during graph
+  /// build. The fixed-point solve is serial at every value (DESIGN.md §9).
   /// 0 = all hardware threads, 1 = run everything on the calling thread.
-  /// Output is identical for every value (see runtime/parallel.h and
-  /// DESIGN.md §9).
+  /// Output is identical for every value (see runtime/parallel.h).
   int num_threads = 1;
 
   /// Canopy-sharded reconciliation (src/shard/, DESIGN.md §14): partition
@@ -133,30 +132,6 @@ struct ReconcilerOptions {
   /// (reconcile_cli --shards, bench/perf_shard, tests); Reconciler::Run
   /// itself never shards.
   int num_shards = 1;
-
-  /// Parallel wavefront execution of the fixed-point solve (DESIGN.md §9):
-  /// each round snapshots the active queue, recomputes the frontier's
-  /// similarities in parallel (a pure read), then applies merges,
-  /// enrichment, and graph surgery serially in exact sequential queue
-  /// order; scores whose inputs were mutated by an earlier commit in the
-  /// same round are detected by generation stamps and re-scored serially.
-  /// Takes effect only when num_threads resolves to more than one thread;
-  /// output is byte-identical to the sequential drain either way. Off =
-  /// always drain one node at a time.
-  bool parallel_fixed_point = true;
-
-  /// Queues shorter than this run serially even under parallel_fixed_point:
-  /// dispatching a round on a near-empty frontier costs more than it saves.
-  /// Exposed mainly so tests can force rounds on tiny graphs.
-  int parallel_frontier_min = 256;
-
-  /// A round's frontier is at most this many nodes (the head of the queue).
-  /// Scoring the whole queue at once wastes most of the parallel work on
-  /// long queues: the first commits' merges fold or re-stamp nodes far
-  /// behind them, so late-queue scores arrive dead or stale. Chunking keeps
-  /// scoring close to commit time. The boundary depends only on queue
-  /// length, never on the thread count, so counters stay deterministic.
-  int parallel_frontier_max = 8192;
 
   /// Execution budget for one run (one batch Run() or one incremental
   /// Flush()): wall-clock deadline, solver iteration and merge limits,

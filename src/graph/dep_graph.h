@@ -118,13 +118,11 @@ class DependencyGraph {
   /// (into or out of kNonMerge excludes / re-admits its similarity; a
   /// merge flips boolean counts). Callers outside the solver's Step()
   /// must use this instead of writing `state` directly: Step() keeps the
-  /// caches consistent itself via delta pushes. Bumps dependents'
-  /// generation stamps (see Node::gen).
+  /// caches consistent itself via delta pushes.
   void SetNodeState(NodeId id, NodeState state);
 
   /// Clears the cached evidence summaries of every node whose similarity
-  /// depends on `id` (its out-edge targets) and bumps their generation
-  /// stamps.
+  /// depends on `id` (its out-edge targets).
   void InvalidateDependentCaches(NodeId id);
 
   /// Live reference-pair nodes containing reference `r`.

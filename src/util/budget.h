@@ -43,7 +43,7 @@ enum class ProbePoint {
   kCandidates = 0,  ///< Candidate-generation batch boundaries.
   kCanopy,          ///< Canopy-sweep center boundaries.
   kBuild,           ///< Graph-builder staging chunk boundaries.
-  kSolveRound,      ///< Solver round / serial-segment boundaries.
+  kSolveRound,      ///< Solver drain start (once per Run()).
   kSolveCommit,     ///< Solver commit boundaries (one per queue pop).
 };
 inline constexpr int kNumProbePoints = 5;
@@ -192,11 +192,11 @@ class BudgetTracker {
     return stop_reason_.load(std::memory_order_acquire);
   }
 
-  /// Read-only check for code running on pool threads (the wavefront's
-  /// parallel score phase, staging blocks): whether in-flight speculative
-  /// work has become pointless. Never mutates probe counters or the stop
-  /// reason — the owning serial code re-checks at its next probe, so
-  /// abandoning here affects wall time only, never output.
+  /// Read-only check for code running on pool threads (candidate and
+  /// staging blocks): whether in-flight speculative work has become
+  /// pointless. Never mutates probe counters or the stop reason — the
+  /// owning serial code re-checks at its next probe, so abandoning here
+  /// affects wall time only, never output.
   bool ShouldAbandonParallelWork() const {
     if (stopped()) return true;
     if (cancel_ != nullptr && cancel_->cancelled()) return true;

@@ -86,9 +86,9 @@ std::string Describe(ProbePoint point, StopReason reason, int64_t fire_at) {
 
 TEST(BudgetFaultInjectionTest, EveryReasonAtEveryBatchProbePoint) {
   const Dataset dataset = SmallPim();
-  // Per-point fire indices. The sequential solve probes kSolveRound
-  // exactly once per Run (index 0); the other points probe repeatedly, so
-  // also exercise a mid-phase stop.
+  // Per-point fire indices. The solve probes kSolveRound exactly once per
+  // Run (index 0); the other points probe repeatedly, so also exercise a
+  // mid-phase stop.
   const std::vector<std::pair<ProbePoint, std::vector<int64_t>>>
       kBatchPoints = {
           {ProbePoint::kCandidates, {0, 3}},
@@ -254,8 +254,6 @@ TEST(BudgetDeterminismTest, IterationAndMergeStopsAreThreadInvariant) {
   for (const bool use_merge_budget : {false, true}) {
     for (const int64_t limit : {int64_t{1}, int64_t{7}, int64_t{60}}) {
       ReconcilerOptions options = ReconcilerOptions::DepGraph();
-      // Force wavefront rounds even on this deliberately small graph.
-      options.parallel_frontier_min = 4;
       if (use_merge_budget) {
         options.budget.max_merges = limit;
       } else {
@@ -282,12 +280,11 @@ TEST(BudgetDeterminismTest, IterationAndMergeStopsAreThreadInvariant) {
 }
 
 TEST(BudgetDeterminismTest, SolveCommitInjectionIsThreadInvariant) {
-  // kSolveCommit probes are per queue pop — a serial, canonical sequence —
-  // so injecting at the Nth one stops after the same commit prefix at any
+  // kSolveCommit probes are per queue pop — a serial sequence — so
+  // injecting at the Nth one stops after the same commit prefix at any
   // thread count.
   const Dataset dataset = SmallPim();
   ReconcilerOptions options = ReconcilerOptions::DepGraph();
-  options.parallel_frontier_min = 4;
   options.num_threads = 1;
   options.probe_hook = std::make_shared<FaultInjector>(
       ProbePoint::kSolveCommit, 25, StopReason::kIterationBudget);
@@ -373,7 +370,7 @@ TEST(BudgetTest, ClosureOnlyConstraintPassMatchesFullPropagation) {
 
 TEST(BudgetIncrementalTest, EveryReasonInjectedDuringFlush) {
   const Dataset dataset = SmallPim();
-  // kSolveRound is probed once per flush (sequential path) — fire at 0.
+  // kSolveRound is probed once per flush — fire at 0.
   const std::vector<std::pair<ProbePoint, int64_t>> kFlushPoints = {
       {ProbePoint::kBuild, 1},
       {ProbePoint::kSolveRound, 0},

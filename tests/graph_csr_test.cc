@@ -1,11 +1,12 @@
-// Determinism sweep for the CSR dependency graph and the region-partitioned
-// parallel commit (DESIGN.md §13): datasets × threads {1, 2, 4, 8} ×
-// {evidence_cache, constraints, budgets} must produce byte-identical
-// partitions and stats — identical to the plain sequential drain AND to the
+// Determinism sweep for the CSR dependency graph (DESIGN.md §13):
+// datasets × threads {1, 2, 4, 8} × {evidence_cache, constraints, budgets,
+// enrichment} must produce byte-identical partitions and stats at every
+// thread count — candidate generation and graph-build staging run on the
+// pool, the fixed-point drain stays serial — and, with enrichment on, the
 // golden fingerprints committed below. The goldens pin the output across
-// commits: a change in CSR layout, region partitioning, rollback-and-replay,
-// or budget probing that alters any partition, merge order, or deterministic
-// counter fails here even if it is self-consistent across thread counts.
+// commits: a change in CSR layout, graph surgery, or budget probing that
+// alters any partition, merge order, or deterministic counter fails here
+// even if it is self-consistent across thread counts.
 //
 // Runs under both sanitizers via the ctest `asan` and `tsan` labels
 // (tools/check_asan.sh, tools/check_tsan.sh).
@@ -72,8 +73,7 @@ Fingerprint FingerprintOf(const ReconcileResult& result) {
     h = Fnv1a(h, static_cast<uint64_t>(rep));
   }
   // merged_pairs is the *direct* merge sequence in commit order, so the
-  // hash also pins the canonical order rollback-and-replay must preserve,
-  // not just the final partition.
+  // hash also pins the drain's pop order, not just the final partition.
   for (const auto& [a, b] : result.merged_pairs) {
     h = Fnv1a(h, (static_cast<uint64_t>(a) << 32) | static_cast<uint64_t>(b));
   }
@@ -93,7 +93,7 @@ struct GoldenRow {
   Fingerprint want;
 };
 
-// Recorded from the sequential drain (parallel_fixed_point=false); the
+// Recorded from the serial drain with enrichment on (the default); the
 // sweep asserts every thread count reproduces these exactly.
 constexpr GoldenRow kGolden[] = {
     {"PIM-A", true, true, false, {0x1f9a6ccc9ffec150ull, 885, 6375, 2003, 9675, 6602}},
@@ -153,60 +153,71 @@ void SweepDataset(const Dataset& dataset, const std::string& dataset_name) {
   for (const bool evidence_cache : {true, false}) {
     for (const bool constraints : {true, false}) {
       for (const bool budget : {false, true}) {
-        ReconcilerOptions options = ReconcilerOptions::DepGraph();
-        options.evidence_cache = evidence_cache;
-        options.constraints = constraints;
-        // Force wavefront rounds even on these deliberately small graphs.
-        options.parallel_frontier_min = 4;
-        if (budget) {
-          // Deterministic limits only (merge + iteration budgets probe at
-          // fixed commit boundaries); a deadline would make the stop point
-          // depend on wall time. Small enough to bind on both datasets, so
-          // the frozen-at-stop reinject path is exercised too.
-          options.budget.max_merges = 25;
-          options.budget.max_solver_iterations = 3000;
-        }
+        for (const bool enrichment : {true, false}) {
+          ReconcilerOptions options = ReconcilerOptions::DepGraph();
+          options.evidence_cache = evidence_cache;
+          options.constraints = constraints;
+          options.enrichment = enrichment;
+          if (budget) {
+            // Deterministic limits only (merge + iteration budgets probe at
+            // fixed commit boundaries); a deadline would make the stop
+            // point depend on wall time. Small enough to bind on both
+            // datasets.
+            options.budget.max_merges = 25;
+            options.budget.max_solver_iterations = 3000;
+          }
 
-        SCOPED_TRACE(dataset_name + " cache=" + std::to_string(evidence_cache) +
-                     " constraints=" + std::to_string(constraints) +
-                     " budget=" + std::to_string(budget));
+          SCOPED_TRACE(dataset_name +
+                       " cache=" + std::to_string(evidence_cache) +
+                       " constraints=" + std::to_string(constraints) +
+                       " budget=" + std::to_string(budget) +
+                       " enrichment=" + std::to_string(enrichment));
 
-        // Sequential reference: the plain drain, wavefront off.
-        options.num_threads = 1;
-        options.parallel_fixed_point = false;
-        const ReconcileResult serial = Reconciler(options).Run(dataset);
-        const Fingerprint serial_fp = FingerprintOf(serial);
+          // Reference: one thread.
+          options.num_threads = 1;
+          const ReconcileResult serial = Reconciler(options).Run(dataset);
+          const Fingerprint serial_fp = FingerprintOf(serial);
 
-        if (RegenMode()) {
-          PrintGoldenRow(dataset_name, evidence_cache, constraints, budget,
-                         serial_fp);
-        } else {
-          const GoldenRow* golden =
-              FindGolden(dataset_name, evidence_cache, constraints, budget);
-          ASSERT_NE(golden, nullptr) << "no golden row for this config";
-          ExpectFingerprint(golden->want, serial_fp);
-        }
+          // Goldens cover enrichment on; with it off the one-thread run is
+          // the only reference.
+          if (enrichment && RegenMode()) {
+            PrintGoldenRow(dataset_name, evidence_cache, constraints, budget,
+                           serial_fp);
+          } else if (enrichment) {
+            const GoldenRow* golden =
+                FindGolden(dataset_name, evidence_cache, constraints, budget);
+            ASSERT_NE(golden, nullptr) << "no golden row for this config";
+            ExpectFingerprint(golden->want, serial_fp);
+          }
 
-        if (budget) {
-          EXPECT_EQ(serial.stats.num_merges, options.budget.max_merges);
-        }
+          if (budget) {
+            EXPECT_EQ(serial.stats.num_merges, options.budget.max_merges);
+          }
 
-        options.parallel_fixed_point = true;
-        for (const int threads : {1, 2, 4, 8}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          options.num_threads = threads;
-          const ReconcileResult parallel = Reconciler(options).Run(dataset);
-          // Byte-identical partitions, merge sequence, and stats — against
-          // the sequential reference AND (transitively) the golden.
-          EXPECT_EQ(serial.cluster, parallel.cluster);
-          EXPECT_EQ(serial.merged_pairs, parallel.merged_pairs);
-          ExpectFingerprint(serial_fp, FingerprintOf(parallel));
-          EXPECT_EQ(serial.stats.num_live_nodes, parallel.stats.num_live_nodes);
-          EXPECT_EQ(serial.stats.num_inedge_scans,
-                    parallel.stats.num_inedge_scans);
-          EXPECT_EQ(serial.stats.num_delta_pushes,
-                    parallel.stats.num_delta_pushes);
-          EXPECT_EQ(serial.stats.stop_reason, parallel.stats.stop_reason);
+          for (const int threads : {2, 4, 8}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            options.num_threads = threads;
+            const ReconcileResult parallel = Reconciler(options).Run(dataset);
+            // Byte-identical partitions, merge sequence, and stats —
+            // against the one-thread reference AND (transitively, with
+            // enrichment on) the golden.
+            EXPECT_EQ(serial.cluster, parallel.cluster);
+            EXPECT_EQ(serial.merged_pairs, parallel.merged_pairs);
+            ExpectFingerprint(serial_fp, FingerprintOf(parallel));
+            EXPECT_EQ(serial.stats.num_candidates,
+                      parallel.stats.num_candidates);
+            EXPECT_EQ(serial.stats.num_live_nodes,
+                      parallel.stats.num_live_nodes);
+            EXPECT_EQ(serial.stats.num_inedge_scans,
+                      parallel.stats.num_inedge_scans);
+            EXPECT_EQ(serial.stats.num_inedge_scans_avoided,
+                      parallel.stats.num_inedge_scans_avoided);
+            EXPECT_EQ(serial.stats.num_cache_rebuilds,
+                      parallel.stats.num_cache_rebuilds);
+            EXPECT_EQ(serial.stats.num_delta_pushes,
+                      parallel.stats.num_delta_pushes);
+            EXPECT_EQ(serial.stats.stop_reason, parallel.stats.stop_reason);
+          }
         }
       }
     }

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -235,6 +236,48 @@ TEST(IncrementalTest, FlushIsIdempotent) {
   reconciler.Flush();
   reconciler.Flush();
   EXPECT_EQ(reconciler.clusters(), first);
+}
+
+TEST(IncrementalTest, ConstructorOnlyStages) {
+  // The initial references are staged, not reconciled: nothing is current
+  // until the first flush.
+  const Dataset data = datagen::GeneratePim(SmallPim(78));
+  ASSERT_GT(data.num_references(), 0);
+  ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  options.premerge_equal_emails = false;
+  IncrementalReconciler reconciler(data, options);
+  EXPECT_EQ(reconciler.num_staged(), data.num_references());
+  EXPECT_EQ(reconciler.flushed_until(), 0);
+  EXPECT_EQ(reconciler.clusters_if_current(), nullptr);
+  EXPECT_EQ(reconciler.stats().solver_iterations, 0);
+
+  reconciler.Flush();
+  EXPECT_EQ(reconciler.num_staged(), 0);
+  EXPECT_GT(reconciler.stats().solver_iterations, 0);
+  const std::vector<int> clusters = reconciler.clusters();
+  ASSERT_NE(reconciler.clusters_if_current(), nullptr);
+  EXPECT_EQ(*reconciler.clusters_if_current(), clusters);
+}
+
+TEST(IncrementalTest, IncrementalBatchesMatch) {
+  // Incremental reconciliation re-enters the solver after graph surgery,
+  // and candidate generation and staging run on the pool; the partition
+  // after many small flushes must still be identical at every thread count.
+  const Dataset dataset = datagen::GeneratePim(
+      datagen::ScaleConfig(datagen::PimConfigA(), 0.10));
+  std::vector<std::vector<int>> clusters;
+  for (const int threads : {1, 4}) {
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    IncrementalReconciler inc(Dataset(dataset.schema()), options);
+    for (RefId id = 0; id < dataset.num_references(); ++id) {
+      inc.AddReference(dataset.reference(id), /*gold_entity=*/-1,
+                       dataset.provenance(id));
+      if (id % 97 == 0) inc.Flush();
+    }
+    clusters.push_back(inc.clusters());
+  }
+  EXPECT_EQ(clusters[0], clusters[1]);
 }
 
 TEST(IncrementalTest, StatsAccumulate) {

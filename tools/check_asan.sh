@@ -4,9 +4,9 @@
 # the malformed-input extraction paths (truncated BibTeX, garbled email,
 # NUL-ridden CSV), the value-store / similarity-memo degradation modes
 # (shard eviction and bypass under tiny byte bounds), the CSR-graph
-# determinism sweep (datasets × threads × cache/constraints/budgets
-# against committed golden fingerprints, rollback-and-replay and frozen
-# budget stops included), the canopy-shard layer (shard-vs-monolithic
+# determinism sweep (datasets × threads × cache/constraints/budgets/
+# enrichment against committed golden fingerprints, frozen budget stops
+# included), the canopy-shard layer (shard-vs-monolithic
 # byte-identity across shards × threads, DESIGN.md §14), the service smoke
 # test (a live daemon on an ephemeral loopback port serving query, ingest,
 # malformed-request, and overload traffic end-to-end over HTTP, plus a

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # One-command race + determinism check for the parallel subsystems
-# (src/runtime/ and the wavefront fixed-point solver, DESIGN.md §9):
+# (src/runtime/ and the pool-parallel candidate and staging phases):
 #
 #   1. configures and builds build-tsan/ with -DRECON_SANITIZE=thread,
 #   2. runs every ctest target labeled `tsan` under ThreadSanitizer
 #      (runtime primitives, evidence-cache parity, the shared value-store /
-#      similarity-memo sweep with the store on and off, the
-#      parallel-solver sweep that asserts byte-identical output at
-#      1/2/4/8 threads, the canopy-shard sweep (shard-parallel staging
-#      must stay byte-identical to the monolithic run, DESIGN.md §14),
-#      the service-layer sweep where query threads
+#      similarity-memo sweep with the store on and off, the CSR-graph
+#      golden sweep that asserts byte-identical output at 1/2/4/8
+#      threads, the incremental thread sweep, the canopy-shard sweep
+#      (shard-parallel staging must stay byte-identical to the monolithic
+#      run, DESIGN.md §14), the service-layer sweep where query threads
 #      race a live ingest/flush loop against the snapshot swap, and the
 #      crash-recovery sweep whose replay must stay byte-identical across
 #      recovery thread counts, DESIGN.md §15),
@@ -41,7 +41,7 @@ echo
 if [[ -d "${NATIVE_DIR}/tests" ]]; then
   echo "== [3/3] determinism sweeps in native build ${NATIVE_DIR}"
   ctest --test-dir "${NATIVE_DIR}" \
-    -R 'SolverParallelTest|GraphCsrTest|ValueStoreTest|ServiceTest|ShardEquivalenceTest|RecoveryTest' \
+    -R 'IncrementalTest|GraphCsrTest|ValueStoreTest|ServiceTest|ShardEquivalenceTest|RecoveryTest' \
     --output-on-failure
 else
   echo "== [3/3] skipped: ${NATIVE_DIR} not built"

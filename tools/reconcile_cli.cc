@@ -406,20 +406,6 @@ int main(int argc, char** argv) {
               << result.stats.shard_seconds << "s + boundary "
               << result.stats.boundary_seconds << "s\n";
   }
-  if (result.stats.num_solver_rounds > 0) {
-    std::cout << "Solve: " << result.stats.num_solver_rounds
-              << " wavefront rounds; score "
-              << result.stats.solve_score_seconds << "s (parallel) commit "
-              << result.stats.solve_commit_seconds << "s; "
-              << result.stats.num_score_hits << " hits / "
-              << result.stats.num_serial_rescores << " re-scored\n";
-    std::cout << "Commit: " << result.stats.num_wave_commits
-              << " of " << result.stats.num_parallel_scored
-              << " commits in " << result.stats.num_commit_waves
-              << " parallel waves (" << result.stats.num_commit_regions
-              << " regions, " << result.stats.num_commit_deferrals
-              << " deferrals)\n";
-  }
   if (result.stats.graph_bytes > 0) {
     std::cout << "Graph memory: " << result.stats.graph_bytes
               << " B (nodes " << result.stats.graph_node_bytes
