@@ -302,6 +302,46 @@ TEST(BudgetDeterminismTest, SolveCommitInjectionIsThreadInvariant) {
   }
 }
 
+TEST(BudgetDeterminismTest, ConvergedDrainProbesOncePerPop) {
+  // The drain probes kSolveRound once at its start and kSolveCommit before
+  // every queue pop; a converged drain ends on an empty queue, so its
+  // commit probes equal its iterations exactly, at every thread count.
+  const Dataset dataset = SmallPim();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    auto recorder = std::make_shared<ProbeRecorder>();
+    options.probe_hook = recorder;
+    const ReconcileResult result = Reconciler(options).Run(dataset);
+    EXPECT_EQ(result.stats.stop_reason, StopReason::kConverged);
+    EXPECT_GT(result.stats.solver_iterations, 0);
+    EXPECT_EQ(recorder->seen(ProbePoint::kSolveRound), 1);
+    EXPECT_EQ(recorder->seen(ProbePoint::kSolveCommit),
+              result.stats.solver_iterations);
+  }
+}
+
+TEST(BudgetDeterminismTest, IterationStopProbesOnceBeyondTheCap) {
+  // The probe before the pop that would exceed the iteration budget is the
+  // one that stops the drain: one commit probe more than iterations run.
+  const Dataset dataset = SmallPim();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    options.budget.max_solver_iterations = 60;
+    auto recorder = std::make_shared<ProbeRecorder>();
+    options.probe_hook = recorder;
+    const ReconcileResult result = Reconciler(options).Run(dataset);
+    ExpectValidPartition(dataset, result);
+    EXPECT_EQ(result.stats.stop_reason, StopReason::kIterationBudget);
+    EXPECT_EQ(result.stats.solver_iterations, 60);
+    EXPECT_EQ(recorder->seen(ProbePoint::kSolveRound), 1);
+    EXPECT_EQ(recorder->seen(ProbePoint::kSolveCommit), 61);
+  }
+}
+
 TEST(BudgetMonotonicityTest, LargerIterationBudgetNeverLosesMerges) {
   // Anytime property: the solve commits along one canonical sequence, so
   // the merge set at budget N is a subset of the merge set at budget M>N,

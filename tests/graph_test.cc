@@ -7,6 +7,13 @@
 namespace recon {
 namespace {
 
+TEST(NodeTest, LayoutStaysCompact) {
+  // The node array is the graph's largest pool (one Node per candidate
+  // pair and per comparable value pair), so every byte here is paid once
+  // per node.
+  EXPECT_LE(sizeof(Node), 92u);
+}
+
 TEST(ValuePoolTest, InternsPerDomain) {
   ValuePool pool;
   const ValueDomain names{0, 0};

@@ -10,6 +10,7 @@
 #include "core/incremental.h"
 #include "core/premerge.h"
 #include "core/reconciler.h"
+#include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"
 #include "model/subset.h"
@@ -278,6 +279,56 @@ TEST(IncrementalTest, IncrementalBatchesMatch) {
     clusters.push_back(inc.clusters());
   }
   EXPECT_EQ(clusters[0], clusters[1]);
+}
+
+TEST(IncrementalTest, IncrementalCoraBatchesMatch) {
+  // The same thread-invariance on Cora, whose papers, authors and venues
+  // are linked by citations, with the evidence cache off so every
+  // recomputation rescans its in-edges.
+  datagen::CoraConfig config;
+  config.num_papers = 30;
+  config.num_citations = 300;
+  config.num_authors = 60;
+  config.num_venue_series = 12;
+  const Dataset dataset = datagen::GenerateCora(config);
+  std::vector<std::vector<int>> clusters;
+  for (const int threads : {1, 4}) {
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    options.evidence_cache = false;
+    IncrementalReconciler inc(Dataset(dataset.schema()), options);
+    for (RefId id = 0; id < dataset.num_references(); ++id) {
+      inc.AddReference(dataset.reference(id), /*gold_entity=*/-1,
+                       dataset.provenance(id));
+      if (id % 31 == 0) inc.Flush();
+    }
+    clusters.push_back(inc.clusters());
+  }
+  EXPECT_EQ(clusters[0], clusters[1]);
+  // Not vacuous: the flushes merged something.
+  EXPECT_LT(std::set<int>(clusters[0].begin(), clusters[0].end()).size(),
+            clusters[0].size());
+}
+
+TEST(IncrementalTest, ParallelScoreCountersReadZero) {
+  // The fixed-point solve is serial: the two parallel-score counters kept
+  // in ReconcileStats read 0 at every thread count, batch and incremental.
+  const Dataset data = datagen::GeneratePim(SmallPim(79));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ReconcilerOptions options = ReconcilerOptions::DepGraph();
+    options.num_threads = threads;
+    const ReconcileResult batch = Reconciler(options).Run(data);
+    EXPECT_GT(batch.stats.num_recomputations, 0);
+    EXPECT_EQ(batch.stats.num_parallel_scored, 0);
+    EXPECT_EQ(batch.stats.num_score_hits, 0);
+
+    IncrementalReconciler inc(data, options);
+    inc.Flush();
+    EXPECT_GT(inc.stats().num_recomputations, 0);
+    EXPECT_EQ(inc.stats().num_parallel_scored, 0);
+    EXPECT_EQ(inc.stats().num_score_hits, 0);
+  }
 }
 
 TEST(IncrementalTest, StatsAccumulate) {
