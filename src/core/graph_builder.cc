@@ -1,6 +1,8 @@
 #include "core/graph_builder.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +44,31 @@ ValueKindSchema MakeValueKindSchema(const SchemaBinding& b) {
   return schema;
 }
 
+/// RefValueIds slots of the bound atomic attributes, per class.
+constexpr int kNameSlot = 0;
+constexpr int kEmailSlot = 1;
+constexpr int kTitleSlot = 0;
+constexpr int kArticleYearSlot = 1;
+constexpr int kPagesSlot = 2;
+constexpr int kVenueNameSlot = 0;
+constexpr int kVenueYearSlot = 1;
+constexpr int kLocationSlot = 2;
+
+/// Bound atomic attribute of each RefValueIds slot for references of
+/// `class_id` (-1 where unbound or the class is not a bound one).
+std::array<int, RefValueIds::kSlots> SlotAttrs(const SchemaBinding& b,
+                                               int class_id) {
+  if (class_id < 0) return {-1, -1, -1};
+  if (class_id == b.person) return {b.person_name, b.person_email, -1};
+  if (class_id == b.article) {
+    return {b.article_title, b.article_year, b.article_pages};
+  }
+  if (class_id == b.venue) {
+    return {b.venue_name, b.venue_year, b.venue_location};
+  }
+  return {-1, -1, -1};
+}
+
 /// Evidence staged for one candidate reference pair before its node is
 /// created (the node is only created when some evidence exists).
 struct StagedEvidence {
@@ -81,8 +108,8 @@ struct FallbackName {
 /// counters feed ReconcileStats and are accumulated serially in lane order
 /// after staging, so totals are deterministic.
 struct StageScratch {
-  std::unordered_map<std::string, FallbackName> name_cache;
-  std::unordered_map<std::string, strsim::EmailAddress> email_cache;
+  std::unordered_map<ValueId, FallbackName> name_cache;
+  std::unordered_map<ValueId, strsim::EmailAddress> email_cache;
   std::unordered_map<MemoKey, float, MemoKeyHash> sim_cache;
   int64_t pair_comparisons = 0;
   int64_t value_analyses = 0;
@@ -178,13 +205,13 @@ class GraphBuilder {
     ConfigureMemoBudget();
 
     // Values are interned up front (serially, in reference order — an order
-    // fixed regardless of thread count, so ValueIds are stable) and
-    // analyzed once each, so candidate generation and the comparison stage
-    // are read-only against the pool and the store and can fan out across
-    // threads. Interning probes no budget, so the probe sequence is
-    // unchanged by the store being on or off.
-    InternAtomicValues(/*first_ref=*/0);
-    if (store_ != nullptr) store_->Sync(*values_);
+    // fixed regardless of thread count, so ValueIds are stable), each
+    // reference's ids recorded once, and every value analyzed once, so
+    // candidate generation and the comparison stage are read-only against
+    // the pool, the ids and the store and can fan out across threads.
+    // Interning probes no budget, so the probe sequence is unchanged by
+    // the store being on or off.
+    InternReferenceValues(dataset_, out);
 
     CandidateList generated;
     if (overrides_.candidates == nullptr) {
@@ -253,8 +280,8 @@ class GraphBuilder {
     built.num_candidates += static_cast<int>(pairs.size());
 
     const NodeId start_node = graph_->num_nodes();
-    InternAtomicValues(first_new_ref);
-    if (store_ != nullptr) store_->Sync(*values_);
+    // A no-op when the caller already interned this batch.
+    InternReferenceValues(dataset_, built);
     graph_->ReserveBuild(pairs.size());
     SeedPairs(pairs);
     if (options_.constraints) MarkCoAuthorConstraints(first_new_ref);
@@ -271,30 +298,6 @@ class GraphBuilder {
 
  private:
   // ---- Step 1: atomic comparisons ---------------------------------------
-
-  /// Interns every atomic value staging will look up, in (reference, field,
-  /// value) order — an order fixed regardless of thread count, so ValueIds
-  /// are stable across runs and thread counts.
-  void InternAtomicValues(RefId first_ref) {
-    for (RefId id = first_ref; id < dataset_.num_references(); ++id) {
-      const Reference& r = dataset_.reference(id);
-      const int class_id = r.class_id();
-      auto intern_field = [&](int owner_class, int attr) {
-        if (owner_class < 0 || attr < 0 || class_id != owner_class) return;
-        for (const std::string& raw : r.atomic_values(attr)) {
-          values_->Intern(ValueDomain{owner_class, attr}, raw);
-        }
-      };
-      intern_field(binding_.person, binding_.person_name);
-      intern_field(binding_.person, binding_.person_email);
-      intern_field(binding_.article, binding_.article_title);
-      intern_field(binding_.article, binding_.article_year);
-      intern_field(binding_.article, binding_.article_pages);
-      intern_field(binding_.venue, binding_.venue_name);
-      intern_field(binding_.venue, binding_.venue_year);
-      intern_field(binding_.venue, binding_.venue_location);
-    }
-  }
 
   /// Stages every pair — in parallel when options_.num_threads allows it —
   /// then applies the staged graph mutations serially in pair order, so
@@ -539,27 +542,26 @@ class GraphBuilder {
     }
   }
 
+  /// Interned ids of `ref`'s attribute in `slot` (RefValueIds).
+  std::span<const ValueId> Ids(RefId ref, int slot) const {
+    return built_->ref_values.Of(ref, slot);
+  }
+
   /// Compares the cross product of two value sets, staging static evidence
   /// for equal values and value nodes for pairs at or above `seed`.
-  /// Read-only: values were interned (and analyzed) by InternAtomicValues /
-  /// Sync, so the pool lookups always hit. With the store on, scoring runs
-  /// over precomputed features through the shared memo; `raw_comparator`
-  /// (a double(const std::string&, const std::string&) callable) is the
+  /// Read-only: the ids were resolved (and analyzed) by
+  /// InternReferenceValues. With the store on, scoring runs over
+  /// precomputed features through the shared memo; `raw_comparator` (a
+  /// double(ValueId, ValueId) callable over the pooled strings) is the
   /// fallback used when the store is off. Both paths round non-equal pair
   /// similarities through float, so results are byte-identical.
   template <typename RawComparator>
-  void StageAtomic(const std::vector<std::string>& values1,
-                   const std::vector<std::string>& values2,
-                   ValueDomain domain1, ValueDomain domain2, int evidence,
-                   double seed, bool propagate_merge,
-                   RawComparator raw_comparator, StageScratch& scratch,
-                   StagedEvidence* staged) const {
-    for (const std::string& raw1 : values1) {
-      const ValueId v1 = values_->Find(domain1, raw1);
-      RECON_CHECK_NE(v1, kInvalidValue);
-      for (const std::string& raw2 : values2) {
-        const ValueId v2 = values_->Find(domain2, raw2);
-        RECON_CHECK_NE(v2, kInvalidValue);
+  void StageAtomic(std::span<const ValueId> ids1,
+                   std::span<const ValueId> ids2, int evidence, double seed,
+                   bool propagate_merge, RawComparator raw_comparator,
+                   StageScratch& scratch, StagedEvidence* staged) const {
+    for (const ValueId v1 : ids1) {
+      for (const ValueId v2 : ids2) {
         ++scratch.pair_comparisons;
         if (v1 == v2) {
           // Equal interned values score at full double precision (they are
@@ -569,7 +571,7 @@ class GraphBuilder {
               (store_ != nullptr)
                   ? FeaturePairSimilarity(evidence, store_->features(v1),
                                           store_->features(v2))
-                  : raw_comparator(raw1, raw2);
+                  : raw_comparator(v1, v2);
           staged->statics.emplace_back(evidence, sim);
           continue;
         }
@@ -583,8 +585,7 @@ class GraphBuilder {
               },
               &scratch.memo_hits, &scratch.memo_misses);
         } else {
-          sim = CachedSim(evidence, v1, v2, raw1, raw2, raw_comparator,
-                          scratch);
+          sim = CachedSim(evidence, v1, v2, raw_comparator, scratch);
         }
         if (sim >= seed) {
           staged->value_nodes.push_back(
@@ -596,42 +597,34 @@ class GraphBuilder {
 
   void StagePerson(RefId r1, RefId r2, StageScratch& scratch,
                    StagedEvidence* staged, bool* non_merge) const {
-    const Reference& a = dataset_.reference(r1);
-    const Reference& b = dataset_.reference(r2);
     const SimParams& p = options_.params;
-
-    const ValueDomain name_domain{binding_.person, binding_.person_name};
-    const ValueDomain email_domain{binding_.person, binding_.person_email};
 
     // Raw fallback comparators (store off): each side is analyzed once per
     // lane and reused across pairs instead of re-parsed per pair.
-    auto raw_person_name = [&](const std::string& x, const std::string& y) {
+    auto raw_person_name = [&](ValueId x, ValueId y) {
       const FallbackName& fx = ParsedName(x, scratch);
       const FallbackName& fy = ParsedName(y, scratch);
       return PersonNameFieldSimilarity(fx.name, fx.lower, fy.name, fy.lower);
     };
-    auto raw_email = [&](const std::string& x, const std::string& y) {
+    auto raw_email = [&](ValueId x, ValueId y) {
       return strsim::EmailSimilarity(ParsedEmail(x, scratch),
                                      ParsedEmail(y, scratch));
     };
-    auto raw_name_email = [&](const std::string& x, const std::string& y) {
+    auto raw_name_email = [&](ValueId x, ValueId y) {
       return NameEmailFieldSimilarity(ParsedName(x, scratch).name,
                                       ParsedEmail(y, scratch));
     };
 
     bool shared_email = false;
     if (binding_.person_name >= 0) {
-      StageAtomic(a.atomic_values(binding_.person_name),
-                  b.atomic_values(binding_.person_name), name_domain,
-                  name_domain, kEvPersonName, p.person_name_seed,
-                  /*propagate_merge=*/false, raw_person_name,
-                  scratch, staged);
+      StageAtomic(Ids(r1, kNameSlot), Ids(r2, kNameSlot), kEvPersonName,
+                  p.person_name_seed, /*propagate_merge=*/false,
+                  raw_person_name, scratch, staged);
       // Both sides carry names but none were even seed-similar: record
       // explicit zero evidence. Dissimilar names are soft negative
       // evidence — the name channel must not read as "unknown".
       const bool both_have_names =
-          !a.atomic_values(binding_.person_name).empty() &&
-          !b.atomic_values(binding_.person_name).empty();
+          !Ids(r1, kNameSlot).empty() && !Ids(r2, kNameSlot).empty();
       if (both_have_names) {
         bool any_name_evidence = false;
         for (const auto& [evidence, sim] : staged->statics) {
@@ -646,12 +639,9 @@ class GraphBuilder {
       }
     }
     if (binding_.person_email >= 0) {
-      const auto& emails1 = a.atomic_values(binding_.person_email);
-      const auto& emails2 = b.atomic_values(binding_.person_email);
-      StageAtomic(emails1, emails2, email_domain, email_domain,
-                  kEvPersonEmail, p.person_email_seed,
-                  /*propagate_merge=*/false, raw_email, scratch,
-                  staged);
+      StageAtomic(Ids(r1, kEmailSlot), Ids(r2, kEmailSlot), kEvPersonEmail,
+                  p.person_email_seed, /*propagate_merge=*/false, raw_email,
+                  scratch, staged);
       // StageAtomic already compared every email pair: identical values
       // became statics, the rest value nodes whenever sim >= seed (and the
       // seed is <= 1). A key match is therefore any staged email evidence
@@ -667,36 +657,32 @@ class GraphBuilder {
     }
     if (options_.evidence_level >= EvidenceLevel::kNameEmail &&
         binding_.person_name >= 0 && binding_.person_email >= 0) {
-      StageAtomic(a.atomic_values(binding_.person_name),
-                  b.atomic_values(binding_.person_email), name_domain,
-                  email_domain, kEvPersonNameEmail, p.name_email_seed,
-                  /*propagate_merge=*/false, raw_name_email,
-                  scratch, staged);
-      StageAtomic(b.atomic_values(binding_.person_name),
-                  a.atomic_values(binding_.person_email), name_domain,
-                  email_domain, kEvPersonNameEmail, p.name_email_seed,
-                  /*propagate_merge=*/false, raw_name_email,
-                  scratch, staged);
+      StageAtomic(Ids(r1, kNameSlot), Ids(r2, kEmailSlot), kEvPersonNameEmail,
+                  p.name_email_seed, /*propagate_merge=*/false,
+                  raw_name_email, scratch, staged);
+      StageAtomic(Ids(r2, kNameSlot), Ids(r1, kEmailSlot), kEvPersonNameEmail,
+                  p.name_email_seed, /*propagate_merge=*/false,
+                  raw_name_email, scratch, staged);
     }
 
     if (options_.constraints && !shared_email) {
-      *non_merge = ViolatesNameConstraint(a, b, scratch) ||
-                   ViolatesAccountConstraint(a, b, scratch);
+      *non_merge = ViolatesNameConstraint(r1, r2, scratch) ||
+                   ViolatesAccountConstraint(r1, r2, scratch);
     }
   }
 
   /// Constraint 2: same first name with a completely different last name
   /// (or vice versa) means distinct persons — unless an email is shared.
-  bool ViolatesNameConstraint(const Reference& a, const Reference& b,
+  bool ViolatesNameConstraint(RefId r1, RefId r2,
                               StageScratch& scratch) const {
     if (binding_.person_name < 0) return false;
-    const auto& names1 = a.atomic_values(binding_.person_name);
-    const auto& names2 = b.atomic_values(binding_.person_name);
+    const std::span<const ValueId> names1 = Ids(r1, kNameSlot);
+    const std::span<const ValueId> names2 = Ids(r2, kNameSlot);
     if (names1.empty() || names2.empty()) return false;
     bool any_contradiction = false;
-    for (const std::string& n1 : names1) {
+    for (const ValueId n1 : names1) {
       const strsim::PersonName& pa = NameOf(n1, scratch);
-      for (const std::string& n2 : names2) {
+      for (const ValueId n2 : names2) {
         const strsim::PersonName& pb = NameOf(n2, scratch);
         if (strsim::NamesContradict(pa, pb)) {
           any_contradiction = true;
@@ -714,13 +700,13 @@ class GraphBuilder {
 
   /// Constraint 3: a person has a unique account per email server, so two
   /// references with different accounts on the same server are distinct.
-  bool ViolatesAccountConstraint(const Reference& a, const Reference& b,
+  bool ViolatesAccountConstraint(RefId r1, RefId r2,
                                  StageScratch& scratch) const {
     if (binding_.person_email < 0) return false;
-    for (const std::string& e1 : a.atomic_values(binding_.person_email)) {
+    for (const ValueId e1 : Ids(r1, kEmailSlot)) {
       const strsim::EmailAddress& ea = EmailOf(e1, scratch);
       if (ea.server.empty()) continue;
-      for (const std::string& e2 : b.atomic_values(binding_.person_email)) {
+      for (const ValueId e2 : Ids(r2, kEmailSlot)) {
         const strsim::EmailAddress& eb = EmailOf(e2, scratch);
         if (ea.server == eb.server && ea.account != eb.account) return true;
       }
@@ -730,89 +716,73 @@ class GraphBuilder {
 
   void StageArticle(RefId r1, RefId r2, StageScratch& scratch,
                     StagedEvidence* staged) const {
-    const Reference& a = dataset_.reference(r1);
-    const Reference& b = dataset_.reference(r2);
     const SimParams& p = options_.params;
     // Raw fallbacks analyze both sides inside the comparator on every
     // cache miss; the counter records those per-pair analyses the store
     // avoids.
-    auto raw_title = [&](const std::string& x, const std::string& y) {
+    auto raw_title = [&](ValueId x, ValueId y) {
       scratch.value_analyses += 2;
-      return TitleFieldSimilarity(x, y);
+      return TitleFieldSimilarity(Raw(x), Raw(y));
     };
-    auto raw_year = [&](const std::string& x, const std::string& y) {
+    auto raw_year = [&](ValueId x, ValueId y) {
       scratch.value_analyses += 2;
-      return YearFieldSimilarity(x, y);
+      return YearFieldSimilarity(Raw(x), Raw(y));
     };
-    auto raw_pages = [&](const std::string& x, const std::string& y) {
+    auto raw_pages = [&](ValueId x, ValueId y) {
       scratch.value_analyses += 2;
-      return PagesFieldSimilarity(x, y);
+      return PagesFieldSimilarity(Raw(x), Raw(y));
     };
     if (binding_.article_title >= 0) {
-      const ValueDomain domain{binding_.article, binding_.article_title};
-      StageAtomic(a.atomic_values(binding_.article_title),
-                  b.atomic_values(binding_.article_title), domain, domain,
-                  kEvArticleTitle, p.article_title_seed,
-                  /*propagate_merge=*/false, raw_title, scratch, staged);
+      StageAtomic(Ids(r1, kTitleSlot), Ids(r2, kTitleSlot), kEvArticleTitle,
+                  p.article_title_seed, /*propagate_merge=*/false, raw_title,
+                  scratch, staged);
     }
     // Titles are required evidence for articles: without a title match the
     // pair is not worth a node.
     if (staged->empty()) return;
     if (binding_.article_year >= 0) {
-      const ValueDomain domain{binding_.article, binding_.article_year};
-      StageAtomic(a.atomic_values(binding_.article_year),
-                  b.atomic_values(binding_.article_year), domain, domain,
+      StageAtomic(Ids(r1, kArticleYearSlot), Ids(r2, kArticleYearSlot),
                   kEvArticleYear, p.year_seed, /*propagate_merge=*/false,
                   raw_year, scratch, staged);
     }
     if (binding_.article_pages >= 0) {
-      const ValueDomain domain{binding_.article, binding_.article_pages};
-      StageAtomic(a.atomic_values(binding_.article_pages),
-                  b.atomic_values(binding_.article_pages), domain, domain,
-                  kEvArticlePages, p.pages_seed, /*propagate_merge=*/false,
-                  raw_pages, scratch, staged);
+      StageAtomic(Ids(r1, kPagesSlot), Ids(r2, kPagesSlot), kEvArticlePages,
+                  p.pages_seed, /*propagate_merge=*/false, raw_pages,
+                  scratch, staged);
     }
   }
 
   void StageVenue(RefId r1, RefId r2, StageScratch& scratch,
                   StagedEvidence* staged) const {
-    const Reference& a = dataset_.reference(r1);
-    const Reference& b = dataset_.reference(r2);
     const SimParams& p = options_.params;
-    auto raw_venue_name = [&](const std::string& x, const std::string& y) {
+    auto raw_venue_name = [&](ValueId x, ValueId y) {
       scratch.value_analyses += 2;
-      return VenueNameFieldSimilarity(x, y);
+      return VenueNameFieldSimilarity(Raw(x), Raw(y));
     };
-    auto raw_year = [&](const std::string& x, const std::string& y) {
+    auto raw_year = [&](ValueId x, ValueId y) {
       scratch.value_analyses += 2;
-      return YearFieldSimilarity(x, y);
+      return YearFieldSimilarity(Raw(x), Raw(y));
     };
-    auto raw_location = [&](const std::string& x, const std::string& y) {
+    auto raw_location = [&](ValueId x, ValueId y) {
       scratch.value_analyses += 2;
-      return LocationFieldSimilarity(x, y);
+      return LocationFieldSimilarity(Raw(x), Raw(y));
     };
     if (binding_.venue_name >= 0) {
-      const ValueDomain domain{binding_.venue, binding_.venue_name};
       // Venue names propagate merges: reconciling two venues certifies
       // their names denote the same venue (Fig. 2's n6), which then feeds
       // every other venue pair carrying these names.
-      StageAtomic(a.atomic_values(binding_.venue_name),
-                  b.atomic_values(binding_.venue_name), domain, domain,
+      StageAtomic(Ids(r1, kVenueNameSlot), Ids(r2, kVenueNameSlot),
                   kEvVenueName, p.venue_name_seed, /*propagate_merge=*/true,
                   raw_venue_name, scratch, staged);
     }
     if (staged->empty()) return;  // Venue name evidence is required.
     if (binding_.venue_year >= 0) {
-      const ValueDomain domain{binding_.venue, binding_.venue_year};
-      StageAtomic(a.atomic_values(binding_.venue_year),
-                  b.atomic_values(binding_.venue_year), domain, domain,
+      StageAtomic(Ids(r1, kVenueYearSlot), Ids(r2, kVenueYearSlot),
                   kEvVenueYear, p.year_seed, /*propagate_merge=*/false,
                   raw_year, scratch, staged);
     }
     if (binding_.venue_location >= 0) {
-      const ValueDomain domain{binding_.venue, binding_.venue_location};
-      StageAtomic(a.atomic_values(binding_.venue_location),
-                  b.atomic_values(binding_.venue_location), domain, domain,
+      StageAtomic(Ids(r1, kLocationSlot), Ids(r2, kLocationSlot),
                   kEvVenueLocation, p.location_seed,
                   /*propagate_merge=*/false, raw_location, scratch, staged);
     }
@@ -849,20 +819,14 @@ class GraphBuilder {
 
   /// Records one channel's value cross product as tasks, counting each
   /// comparison exactly where the per-pair path counts it.
-  TaskRange GatherAtomic(const std::vector<std::string>& values1,
-                         const std::vector<std::string>& values2,
-                         ValueDomain domain1, ValueDomain domain2,
-                         int evidence, StageScratch& scratch,
-                         BatchLane& lane) const {
+  TaskRange GatherAtomic(std::span<const ValueId> ids1,
+                         std::span<const ValueId> ids2, int evidence,
+                         StageScratch& scratch, BatchLane& lane) const {
     std::vector<SimTask>& tasks = lane.tasks[evidence];
     TaskRange range;
     range.begin = static_cast<int32_t>(tasks.size());
-    for (const std::string& raw1 : values1) {
-      const ValueId v1 = values_->Find(domain1, raw1);
-      RECON_CHECK_NE(v1, kInvalidValue);
-      for (const std::string& raw2 : values2) {
-        const ValueId v2 = values_->Find(domain2, raw2);
-        RECON_CHECK_NE(v2, kInvalidValue);
+    for (const ValueId v1 : ids1) {
+      for (const ValueId v2 : ids2) {
         ++scratch.pair_comparisons;
         SimTask t;
         t.v1 = v1;
@@ -877,35 +841,23 @@ class GraphBuilder {
 
   /// Gathers every unconditional person channel (all four are staged by
   /// StagePerson regardless of what earlier channels produced).
-  void GatherPerson(const Reference& a, const Reference& b,
-                    StageScratch& scratch, BatchLane& lane,
-                    PairPlan* plan) const {
-    const ValueDomain name_domain{binding_.person, binding_.person_name};
-    const ValueDomain email_domain{binding_.person, binding_.person_email};
+  void GatherPerson(RefId r1, RefId r2, StageScratch& scratch,
+                    BatchLane& lane, PairPlan* plan) const {
     if (binding_.person_name >= 0) {
-      plan->name = GatherAtomic(a.atomic_values(binding_.person_name),
-                                b.atomic_values(binding_.person_name),
-                                name_domain, name_domain, kEvPersonName,
-                                scratch, lane);
+      plan->name = GatherAtomic(Ids(r1, kNameSlot), Ids(r2, kNameSlot),
+                                kEvPersonName, scratch, lane);
       plan->both_have_names =
-          !a.atomic_values(binding_.person_name).empty() &&
-          !b.atomic_values(binding_.person_name).empty();
+          !Ids(r1, kNameSlot).empty() && !Ids(r2, kNameSlot).empty();
     }
     if (binding_.person_email >= 0) {
-      plan->email = GatherAtomic(a.atomic_values(binding_.person_email),
-                                 b.atomic_values(binding_.person_email),
-                                 email_domain, email_domain, kEvPersonEmail,
-                                 scratch, lane);
+      plan->email = GatherAtomic(Ids(r1, kEmailSlot), Ids(r2, kEmailSlot),
+                                 kEvPersonEmail, scratch, lane);
     }
     if (options_.evidence_level >= EvidenceLevel::kNameEmail &&
         binding_.person_name >= 0 && binding_.person_email >= 0) {
-      plan->ne_ab = GatherAtomic(a.atomic_values(binding_.person_name),
-                                 b.atomic_values(binding_.person_email),
-                                 name_domain, email_domain,
+      plan->ne_ab = GatherAtomic(Ids(r1, kNameSlot), Ids(r2, kEmailSlot),
                                  kEvPersonNameEmail, scratch, lane);
-      plan->ne_ba = GatherAtomic(b.atomic_values(binding_.person_name),
-                                 a.atomic_values(binding_.person_email),
-                                 name_domain, email_domain,
+      plan->ne_ba = GatherAtomic(Ids(r2, kNameSlot), Ids(r1, kEmailSlot),
                                  kEvPersonNameEmail, scratch, lane);
     }
   }
@@ -1052,11 +1004,8 @@ class GraphBuilder {
     AssembleRange(plan.ne_ba, kEvPersonNameEmail, /*propagate_merge=*/false,
                   lane, staged);
     if (options_.constraints && !shared_email) {
-      out->non_merge =
-          ViolatesNameConstraint(dataset_.reference(plan.r1),
-                                 dataset_.reference(plan.r2), scratch) ||
-          ViolatesAccountConstraint(dataset_.reference(plan.r1),
-                                    dataset_.reference(plan.r2), scratch);
+      out->non_merge = ViolatesNameConstraint(plan.r1, plan.r2, scratch) ||
+                       ViolatesAccountConstraint(plan.r1, plan.r2, scratch);
     }
   }
 
@@ -1094,24 +1043,18 @@ class GraphBuilder {
         plan.r1 = out->r1;
         plan.r2 = out->r2;
         plan.class_id = out->class_id;
-        const Reference& a = dataset_.reference(plan.r1);
-        const Reference& b = dataset_.reference(plan.r2);
         if (plan.class_id == binding_.person) {
-          GatherPerson(a, b, scratch, lane, &plan);
+          GatherPerson(plan.r1, plan.r2, scratch, lane, &plan);
         } else if (plan.class_id == binding_.article &&
                    binding_.article_title >= 0) {
-          const ValueDomain domain{binding_.article, binding_.article_title};
-          plan.primary = GatherAtomic(
-              a.atomic_values(binding_.article_title),
-              b.atomic_values(binding_.article_title), domain, domain,
-              kEvArticleTitle, scratch, lane);
+          plan.primary =
+              GatherAtomic(Ids(plan.r1, kTitleSlot), Ids(plan.r2, kTitleSlot),
+                           kEvArticleTitle, scratch, lane);
         } else if (plan.class_id == binding_.venue &&
                    binding_.venue_name >= 0) {
-          const ValueDomain domain{binding_.venue, binding_.venue_name};
-          plan.primary = GatherAtomic(a.atomic_values(binding_.venue_name),
-                                      b.atomic_values(binding_.venue_name),
-                                      domain, domain, kEvVenueName, scratch,
-                                      lane);
+          plan.primary = GatherAtomic(Ids(plan.r1, kVenueNameSlot),
+                                      Ids(plan.r2, kVenueNameSlot),
+                                      kEvVenueName, scratch, lane);
         }
         lane.plan.push_back(plan);
       }
@@ -1134,45 +1077,33 @@ class GraphBuilder {
           AssemblePerson(plan, lane, scratch, out);
           continue;
         }
-        const Reference& a = dataset_.reference(plan.r1);
-        const Reference& b = dataset_.reference(plan.r2);
         if (plan.class_id == binding_.article) {
           AssembleRange(plan.primary, kEvArticleTitle,
                         /*propagate_merge=*/false, lane, &out->evidence);
           if (out->evidence.empty()) continue;
           if (binding_.article_year >= 0) {
-            const ValueDomain domain{binding_.article, binding_.article_year};
-            plan.secondary1 = GatherAtomic(
-                a.atomic_values(binding_.article_year),
-                b.atomic_values(binding_.article_year), domain, domain,
-                kEvArticleYear, scratch, lane);
+            plan.secondary1 = GatherAtomic(Ids(plan.r1, kArticleYearSlot),
+                                           Ids(plan.r2, kArticleYearSlot),
+                                           kEvArticleYear, scratch, lane);
           }
           if (binding_.article_pages >= 0) {
-            const ValueDomain domain{binding_.article,
-                                     binding_.article_pages};
-            plan.secondary2 = GatherAtomic(
-                a.atomic_values(binding_.article_pages),
-                b.atomic_values(binding_.article_pages), domain, domain,
-                kEvArticlePages, scratch, lane);
+            plan.secondary2 =
+                GatherAtomic(Ids(plan.r1, kPagesSlot), Ids(plan.r2, kPagesSlot),
+                             kEvArticlePages, scratch, lane);
           }
         } else if (plan.class_id == binding_.venue) {
           AssembleRange(plan.primary, kEvVenueName,
                         /*propagate_merge=*/true, lane, &out->evidence);
           if (out->evidence.empty()) continue;
           if (binding_.venue_year >= 0) {
-            const ValueDomain domain{binding_.venue, binding_.venue_year};
-            plan.secondary1 = GatherAtomic(
-                a.atomic_values(binding_.venue_year),
-                b.atomic_values(binding_.venue_year), domain, domain,
-                kEvVenueYear, scratch, lane);
+            plan.secondary1 = GatherAtomic(Ids(plan.r1, kVenueYearSlot),
+                                           Ids(plan.r2, kVenueYearSlot),
+                                           kEvVenueYear, scratch, lane);
           }
           if (binding_.venue_location >= 0) {
-            const ValueDomain domain{binding_.venue,
-                                     binding_.venue_location};
-            plan.secondary2 = GatherAtomic(
-                a.atomic_values(binding_.venue_location),
-                b.atomic_values(binding_.venue_location), domain, domain,
-                kEvVenueLocation, scratch, lane);
+            plan.secondary2 = GatherAtomic(Ids(plan.r1, kLocationSlot),
+                                           Ids(plan.r2, kLocationSlot),
+                                           kEvVenueLocation, scratch, lane);
           }
         }
       }
@@ -1402,24 +1333,26 @@ class GraphBuilder {
     }
   }
 
-  /// Raw-fallback analysis caches: each distinct string is analyzed once
+  /// Pooled string of an interned value (raw-fallback comparators).
+  const std::string& Raw(ValueId id) const { return values_->StringOf(id); }
+
+  /// Raw-fallback analysis caches: each distinct value is analyzed once
   /// per lane; a cache miss is one value analysis for the stats.
-  const FallbackName& ParsedName(const std::string& raw,
-                                 StageScratch& scratch) const {
-    auto [it, inserted] = scratch.name_cache.try_emplace(raw);
+  const FallbackName& ParsedName(ValueId id, StageScratch& scratch) const {
+    auto [it, inserted] = scratch.name_cache.try_emplace(id);
     if (inserted) {
-      it->second.name = strsim::ParsePersonName(raw);
-      it->second.lower = ToLower(raw);
+      it->second.name = strsim::ParsePersonName(Raw(id));
+      it->second.lower = ToLower(Raw(id));
       ++scratch.value_analyses;
     }
     return it->second;
   }
 
-  const strsim::EmailAddress& ParsedEmail(const std::string& raw,
+  const strsim::EmailAddress& ParsedEmail(ValueId id,
                                           StageScratch& scratch) const {
-    auto [it, inserted] = scratch.email_cache.try_emplace(raw);
+    auto [it, inserted] = scratch.email_cache.try_emplace(id);
     if (inserted) {
-      it->second = strsim::ParseEmail(raw);
+      it->second = strsim::ParseEmail(Raw(id));
       ++scratch.value_analyses;
     }
     return it->second;
@@ -1427,38 +1360,26 @@ class GraphBuilder {
 
   /// Parsed person name of an interned name value: store features when the
   /// store is on, per-lane fallback cache otherwise.
-  const strsim::PersonName& NameOf(const std::string& raw,
-                                   StageScratch& scratch) const {
-    if (store_ != nullptr) {
-      const ValueId id = values_->Find(
-          ValueDomain{binding_.person, binding_.person_name}, raw);
-      RECON_CHECK_NE(id, kInvalidValue);
-      return store_->features(id).name;
-    }
-    return ParsedName(raw, scratch).name;
+  const strsim::PersonName& NameOf(ValueId id, StageScratch& scratch) const {
+    if (store_ != nullptr) return store_->features(id).name;
+    return ParsedName(id, scratch).name;
   }
 
-  const strsim::EmailAddress& EmailOf(const std::string& raw,
+  const strsim::EmailAddress& EmailOf(ValueId id,
                                       StageScratch& scratch) const {
-    if (store_ != nullptr) {
-      const ValueId id = values_->Find(
-          ValueDomain{binding_.person, binding_.person_email}, raw);
-      RECON_CHECK_NE(id, kInvalidValue);
-      return store_->features(id).email;
-    }
-    return ParsedEmail(raw, scratch);
+    if (store_ != nullptr) return store_->features(id).email;
+    return ParsedEmail(id, scratch);
   }
 
   template <typename Comparator>
   double CachedSim(int evidence, ValueId v1, ValueId v2,
-                   const std::string& raw1, const std::string& raw2,
                    Comparator& comparator, StageScratch& scratch) const {
     // Same-attribute comparators are symmetric and cross-attribute pairs
     // always arrive in (name, email) order, so the unordered key is safe.
     const MemoKey key = SimMemo::MakeKey(evidence, v1, v2);
     auto [it, inserted] = scratch.sim_cache.try_emplace(key, 0.0f);
     if (inserted) {
-      it->second = static_cast<float>(comparator(raw1, raw2));
+      it->second = static_cast<float>(comparator(v1, v2));
     }
     return it->second;
   }
@@ -1506,26 +1427,21 @@ class GraphBuilder {
 
 }  // namespace
 
-void InternReferenceValues(const Dataset& dataset, RefId first_ref,
-                           BuiltGraph& built) {
-  const SchemaBinding& b = built.binding;
-  for (RefId id = first_ref; id < dataset.num_references(); ++id) {
+void InternReferenceValues(const Dataset& dataset, BuiltGraph& built) {
+  // (reference, field, value) order is fixed regardless of thread count,
+  // so ValueIds are stable across runs and thread counts.
+  RefValueIds& ids = built.ref_values;
+  for (RefId id = ids.num_refs(); id < dataset.num_references(); ++id) {
     const Reference& r = dataset.reference(id);
     const int class_id = r.class_id();
-    auto intern_field = [&](int owner_class, int attr) {
-      if (owner_class < 0 || attr < 0 || class_id != owner_class) return;
-      for (const std::string& raw : r.atomic_values(attr)) {
-        built.values.Intern(ValueDomain{owner_class, attr}, raw);
+    for (const int attr : SlotAttrs(built.binding, class_id)) {
+      if (attr >= 0) {
+        for (const std::string& raw : r.atomic_values(attr)) {
+          ids.Push(built.values.Intern(ValueDomain{class_id, attr}, raw));
+        }
       }
-    };
-    intern_field(b.person, b.person_name);
-    intern_field(b.person, b.person_email);
-    intern_field(b.article, b.article_title);
-    intern_field(b.article, b.article_year);
-    intern_field(b.article, b.article_pages);
-    intern_field(b.venue, b.venue_name);
-    intern_field(b.venue, b.venue_year);
-    intern_field(b.venue, b.venue_location);
+      ids.EndSlot();
+    }
   }
   if (built.feature_store != nullptr) built.feature_store->Sync(built.values);
 }

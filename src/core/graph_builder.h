@@ -6,7 +6,9 @@
 #ifndef RECON_CORE_GRAPH_BUILDER_H_
 #define RECON_CORE_GRAPH_BUILDER_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/candidates.h"
@@ -21,10 +23,44 @@
 
 namespace recon {
 
+/// Interned ValueIds of every reference's bound atomic attributes, resolved
+/// once when the values are interned (DESIGN.md §13) so staging reads ids
+/// instead of re-hashing strings. CSR over (reference, slot): a reference
+/// of a bound class keeps its class's bound attributes in SchemaBinding
+/// order — Person name, email; Article title, year, pages; Venue name,
+/// year, location — one slot each; unbound attributes and other classes
+/// hold empty spans. Append-only in RefId order.
+class RefValueIds {
+ public:
+  static constexpr int kSlots = 3;
+
+  /// References recorded so far (ids [0, num_refs())).
+  RefId num_refs() const {
+    return static_cast<RefId>((offsets_.size() - 1) / kSlots);
+  }
+
+  /// ValueIds of `ref`'s attribute in `slot`, in atomic_values order.
+  std::span<const ValueId> Of(RefId ref, int slot) const {
+    const size_t i = static_cast<size_t>(ref) * kSlots + slot;
+    return {ids_.data() + offsets_[i], ids_.data() + offsets_[i + 1]};
+  }
+
+  /// Appends the next reference slot by slot: Push each id of slot 0,
+  /// EndSlot(), ... for all kSlots slots.
+  void Push(ValueId id) { ids_.push_back(id); }
+  void EndSlot() { offsets_.push_back(static_cast<uint32_t>(ids_.size())); }
+
+ private:
+  std::vector<uint32_t> offsets_{0};
+  std::vector<ValueId> ids_;
+};
+
 /// Everything the reconciler needs to run the fixed point.
 struct BuiltGraph {
   std::unique_ptr<DependencyGraph> graph;
   ValuePool values;
+  /// Per-reference ValueIds of the bound atomic attributes.
+  RefValueIds ref_values;
   /// Reference-pair nodes in initial processing order: venues before
   /// persons before articles, so that a node tends to precede its outgoing
   /// real-valued neighbors (§3.2's queue invariant).
@@ -55,13 +91,14 @@ struct BuiltGraph {
   int64_t num_prefilter_exact = 0;
 };
 
-/// Interns the atomic attribute values of references >= `first_ref` into
-/// built.values (reference order, idempotent — the same interning the
-/// builder performs) and syncs built.feature_store over the new values.
-/// Incremental callers use it to make features available to candidate
-/// generation before ExtendDependencyGraph runs.
-void InternReferenceValues(const Dataset& dataset, RefId first_ref,
-                           BuiltGraph& built);
+/// Interns the bound atomic attribute values of every reference not yet
+/// recorded in built.ref_values into built.values, in (reference, field,
+/// value) order — the interning the builder performs — records their ids,
+/// and syncs built.feature_store over the new values. Idempotent: a
+/// reference is recorded once. Incremental callers use it to make
+/// features available to candidate generation before
+/// ExtendDependencyGraph runs.
+void InternReferenceValues(const Dataset& dataset, BuiltGraph& built);
 
 /// Per-phase observability of a shard-staged build (filled by the builder
 /// when BuildOverrides::shard_plan is set).

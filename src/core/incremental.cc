@@ -51,7 +51,7 @@ void IncrementalReconciler::Flush() {
     // Intern and analyze the new batch's values first, so candidate
     // generation can read precomputed features; ExtendDependencyGraph's
     // own interning pass then finds everything already present.
-    InternReferenceValues(dataset_, flushed_until_, built_);
+    InternReferenceValues(dataset_, built_);
     const CandidateList pairs =
         index_->AddReferences(dataset_, flushed_until_, &built_.values,
                               built_.feature_store.get());

@@ -80,6 +80,8 @@ class IncrementalReconciler {
   const std::vector<int>* clusters_if_current() const {
     return closure_valid_ && num_staged() == 0 ? &clusters_ : nullptr;
   }
+  /// The graph, value pool and per-reference ids built so far.
+  const BuiltGraph& built() const { return built_; }
 
  private:
   Dataset dataset_;

@@ -107,8 +107,18 @@ void DependencyGraph::AddEdge(NodeId from, NodeId to, DependencyKind kind,
                               int evidence) {
   RECON_CHECK_NE(from, to);
   const int16_t ev = static_cast<int16_t>(evidence);
-  for (const Edge& e : out_pool_.span(from)) {
-    if (e.node == to && e.kind == kind && e.evidence == ev) return;
+  // Every edge lives in both from's out list and to's in list (FoldInto
+  // and DetachEdge keep the two in step), so scanning the shorter one
+  // finds a duplicate exactly when the other would. One value-pair hub
+  // feeds thousands of reference pairs; its out list is the long side.
+  if (out_pool_.count(from) <= in_pool_.count(to)) {
+    for (const Edge& e : out_pool_.span(from)) {
+      if (e.node == to && e.kind == kind && e.evidence == ev) return;
+    }
+  } else {
+    for (const Edge& e : in_pool_.span(to)) {
+      if (e.node == from && e.kind == kind && e.evidence == ev) return;
+    }
   }
   out_pool_.Append(from, Edge{to, kind, ev});
   in_pool_.Append(to, Edge{from, kind, ev});

@@ -9,6 +9,7 @@
 #define RECON_GRAPH_VALUE_POOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,11 +35,17 @@ struct ValueDomain {
 class ValuePool {
  public:
   ValuePool() = default;
+  // strings_ points into the map nodes: a copy would alias the source.
+  ValuePool(const ValuePool&) = delete;
+  ValuePool& operator=(const ValuePool&) = delete;
+  ValuePool(ValuePool&&) = default;
+  ValuePool& operator=(ValuePool&&) = default;
 
   /// Interns `value` in `domain`, returning a stable id.
   ValueId Intern(ValueDomain domain, std::string_view value);
 
-  /// Id of `value` in `domain`, or kInvalidValue.
+  /// Id of `value` in `domain`, or kInvalidValue. Builds no temporary
+  /// string (heterogeneous lookup).
   ValueId Find(ValueDomain domain, std::string_view value) const;
 
   const std::string& StringOf(ValueId id) const;
@@ -52,9 +59,21 @@ class ValuePool {
            static_cast<uint32_t>(d.attr);
   }
 
-  std::unordered_map<uint64_t, std::unordered_map<std::string, ValueId>>
-      by_domain_;
-  std::vector<std::string> strings_;
+  /// Transparent hash: string_view lookups probe without a std::string.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using DomainMap =
+      std::unordered_map<std::string, ValueId, StringHash, std::equal_to<>>;
+
+  std::unordered_map<uint64_t, DomainMap> by_domain_;
+  /// Per ValueId, the map key holding its string: each value is stored
+  /// (and allocated) once. Node-based maps keep key addresses stable
+  /// across rehashes and moves.
+  std::vector<const std::string*> strings_;
   std::vector<ValueDomain> domains_;
 };
 

@@ -170,9 +170,47 @@ double TitleSimilarityUpperBound(const ValueFeatures& a,
 void SimMemo::set_max_bytes(int64_t max_bytes) {
   max_bytes_ = max_bytes;
   per_shard_cap_ = max_bytes / kNumShards;
-  // A cap too small to hold even a handful of entries per shard would
-  // thrash; serve lookups as a pass-through instead.
-  bypass_ = per_shard_cap_ < 8 * kEntryBytes;
+  // A cap too small for the smallest table would thrash; serve lookups as
+  // a pass-through instead.
+  bypass_ = per_shard_cap_ < kMinSlots * kSlotBytes;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const int64_t held = static_cast<int64_t>(shard.slots.size()) * kSlotBytes;
+    if (held == 0 || (!bypass_ && held <= per_shard_cap_)) continue;
+    std::vector<Slot>().swap(shard.slots);
+    shard.size = 0;
+    bytes_.fetch_sub(held, std::memory_order_relaxed);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+SimMemo::Slot* SimMemo::MakeRoom(Shard& shard, const MemoKey& key,
+                                 uint64_t index_hash) {
+  const size_t capacity = shard.slots.size();
+  if (capacity == 0) {
+    shard.slots.assign(kMinSlots, Slot{});
+    bytes_.fetch_add(kMinSlots * kSlotBytes, std::memory_order_relaxed);
+  } else if (static_cast<int64_t>(2 * capacity) * kSlotBytes <=
+             per_shard_cap_) {
+    std::vector<Slot> old(2 * capacity);
+    old.swap(shard.slots);
+    const size_t mask = shard.slots.size() - 1;
+    for (const Slot& s : old) {
+      if (s.pair == kEmptyPair) continue;
+      const uint64_t hash = MemoKeyHash{}(MemoKey{s.pair, s.evidence});
+      size_t i = (hash / kNumShards) & mask;
+      while (shard.slots[i].pair != kEmptyPair) i = (i + 1) & mask;
+      shard.slots[i] = s;
+    }
+    bytes_.fetch_add(static_cast<int64_t>(capacity) * kSlotBytes,
+                     std::memory_order_relaxed);
+  } else {
+    // At its share of the bound: clear in place, keeping the allocation.
+    std::fill(shard.slots.begin(), shard.slots.end(), Slot{});
+    shard.size = 0;
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return shard.Probe(key, index_hash);
 }
 
 }  // namespace recon

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "strsim/title.h"
 #include "strsim/tokens.h"
 #include "strsim/venue.h"
+#include "util/logging.h"
 
 namespace recon {
 
@@ -201,20 +201,28 @@ struct MemoKeyHash {
 
 /// Bounded, sharded memo of pairwise comparator results. Keys hold the
 /// full (evidence, min(ValueId), max(ValueId)) triple — no lossy packing —
-/// and values are stored as float to match their rounding.
+/// and values are stored as float to match their rounding. Each shard is
+/// one open-addressed, linear-probing slot array (16 B a slot, no
+/// per-entry allocation); the low hash bits pick the shard and the rest
+/// index its slots. `pair == 0` marks an empty slot: equal values are
+/// never memoized, so min < max forces max >= 1 and a real key never has
+/// a zero pair word.
 /// Compute runs under the shard lock, so the number of misses equals the
 /// number of distinct keys requested — deterministic across thread counts
-/// as long as nothing is evicted. When a shard would exceed its share of the
-/// byte bound it is cleared (eviction); a bound too small to be useful turns
-/// the memo into a pass-through (bypass). Never an abort.
+/// as long as nothing is evicted. A shard doubles until one more doubling
+/// would exceed its share of the byte bound; a full shard at that size is
+/// cleared (eviction). A bound too small for the smallest table turns the
+/// memo into a pass-through (bypass). Never an abort.
 class SimMemo {
  public:
   SimMemo() = default;
   SimMemo(const SimMemo&) = delete;
   SimMemo& operator=(const SimMemo&) = delete;
 
-  /// Sets the total byte bound across all shards. <= 0 or too tiny for even
-  /// a handful of entries per shard puts the memo in bypass mode.
+  /// Sets the total byte bound across all shards. <= 0 or too small for
+  /// the smallest slot table puts the memo in bypass mode. Not
+  /// thread-safe against concurrent lookups; shards already larger than
+  /// the new share are dropped.
   void set_max_bytes(int64_t max_bytes);
 
   int64_t max_bytes() const { return max_bytes_; }
@@ -222,38 +230,40 @@ class SimMemo {
   /// Returns the memoized similarity for (evidence, v1, v2), computing it
   /// via `compute` (a double() callable) on first sight. Stores float — the
   /// same rounding the per-lane raw caches apply. `hits`/`misses` are
-  /// per-lane counters owned by the caller (no contention).
+  /// per-lane counters owned by the caller (no contention). v1 != v2:
+  /// equal values are scored as statics, never memoized.
   template <typename Compute>
   float LookupOrCompute(int evidence, ValueId v1, ValueId v2,
                         Compute&& compute, int64_t* hits, int64_t* misses) {
+    RECON_CHECK(v1 != v2);  // Keeps the empty marker out of the key space.
     if (bypass_) {
       ++*misses;
       bypasses_.fetch_add(1, std::memory_order_relaxed);
       return static_cast<float>(compute());
     }
     const MemoKey key = MakeKey(evidence, v1, v2);
-    Shard& shard = shards_[MemoKeyHash{}(key) % kNumShards];
+    const uint64_t hash = MemoKeyHash{}(key);
+    Shard& shard = shards_[hash % kNumShards];
+    const uint64_t index_hash = hash / kNumShards;
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    Slot* slot = shard.Probe(key, index_hash);
+    if (slot != nullptr && slot->pair != kEmptyPair) {
       ++*hits;
-      return it->second;
+      return slot->sim;
     }
     ++*misses;
-    if (static_cast<int64_t>(shard.map.size() + 1) * kEntryBytes >
-        per_shard_cap_) {
-      bytes_.fetch_sub(static_cast<int64_t>(shard.map.size()) * kEntryBytes,
-                       std::memory_order_relaxed);
-      shard.map.clear();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (slot == nullptr || shard.Full()) {
+      slot = MakeRoom(shard, key, index_hash);
     }
     const float sim = static_cast<float>(compute());
-    shard.map.emplace(key, sim);
-    bytes_.fetch_add(kEntryBytes, std::memory_order_relaxed);
+    slot->pair = key.pair;
+    slot->evidence = key.evidence;
+    slot->sim = sim;
+    ++shard.size;
     return sim;
   }
 
-  /// Approximate bytes currently held across all shards.
+  /// Bytes of the slot arrays currently allocated across all shards.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
   /// Number of shard clears forced by the byte bound.
   int64_t evictions() const {
@@ -274,16 +284,50 @@ class SimMemo {
     return MemoKey{(lo << 32) | hi, static_cast<uint32_t>(evidence)};
   }
 
-  /// Estimated heap cost of one map entry (node + bucket overhead).
-  static constexpr int64_t kEntryBytes = 56;
+  /// Heap cost of one slot: the whole key plus the float result.
+  static constexpr int64_t kSlotBytes = 16;
+  /// Smallest slot table a shard allocates.
+  static constexpr int64_t kMinSlots = 8;
 
  private:
   static constexpr int kNumShards = 64;
+  static constexpr uint64_t kEmptyPair = 0;
 
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<MemoKey, float, MemoKeyHash> map;
+  struct Slot {
+    uint64_t pair = kEmptyPair;
+    uint32_t evidence = 0;
+    float sim = 0;
   };
+  static_assert(sizeof(Slot) == kSlotBytes);
+
+  /// One lock and one slot table; cache-line aligned so neighbouring
+  /// shards' locks do not share a line.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::vector<Slot> slots;  ///< Power-of-two size, or empty.
+    size_t size = 0;          ///< Occupied slots.
+
+    /// The slot holding `key`, else the empty slot ending its probe
+    /// chain; null while no table is allocated.
+    Slot* Probe(const MemoKey& key, uint64_t index_hash) {
+      if (slots.empty()) return nullptr;
+      const size_t mask = slots.size() - 1;
+      for (size_t i = index_hash & mask;; i = (i + 1) & mask) {
+        Slot& s = slots[i];
+        if (s.pair == kEmptyPair ||
+            (s.pair == key.pair && s.evidence == key.evidence)) {
+          return &s;
+        }
+      }
+    }
+
+    /// One more entry would push the load factor past 7/10.
+    bool Full() const { return (size + 1) * 10 > slots.size() * 7; }
+  };
+
+  /// Allocates, doubles or (at the byte bound) clears `shard`'s table so
+  /// one more entry fits, and returns the empty slot for `key` (absent).
+  Slot* MakeRoom(Shard& shard, const MemoKey& key, uint64_t index_hash);
 
   Shard shards_[kNumShards];
   int64_t max_bytes_ = 0;

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/graph_builder.h"
 #include "core/incremental.h"
 #include "core/premerge.h"
 #include "core/reconciler.h"
+#include "core/schema_binding.h"
 #include "datagen/cora_generator.h"
 #include "datagen/pim_generator.h"
 #include "eval/metrics.h"
@@ -340,6 +342,89 @@ TEST(IncrementalTest, StatsAccumulate) {
   EXPECT_GT(result.stats.num_nodes, 0);
   EXPECT_GT(result.stats.num_merges, 0);
   EXPECT_FALSE(result.merged_pairs.empty());
+}
+
+// ---- Per-reference ValueIds --------------------------------------------------
+
+/// Every reference's recorded id span per bound attribute equals looking
+/// each raw value up in the pool; unbound slots and other classes are
+/// empty. The slot order is the documented RefValueIds one.
+void ExpectRefValueIdsMatchPool(const Dataset& dataset,
+                                const BuiltGraph& built) {
+  const SchemaBinding& b = built.binding;
+  ASSERT_EQ(built.ref_values.num_refs(), dataset.num_references());
+  int64_t checked = 0;
+  for (RefId id = 0; id < dataset.num_references(); ++id) {
+    const Reference& r = dataset.reference(id);
+    std::vector<int> attrs(RefValueIds::kSlots, -1);
+    if (r.class_id() == b.person) {
+      attrs = {b.person_name, b.person_email, -1};
+    } else if (r.class_id() == b.article) {
+      attrs = {b.article_title, b.article_year, b.article_pages};
+    } else if (r.class_id() == b.venue) {
+      attrs = {b.venue_name, b.venue_year, b.venue_location};
+    }
+    for (int slot = 0; slot < RefValueIds::kSlots; ++slot) {
+      std::vector<ValueId> expected;
+      if (attrs[slot] >= 0) {
+        const ValueDomain domain{r.class_id(), attrs[slot]};
+        for (const std::string& raw : r.atomic_values(attrs[slot])) {
+          expected.push_back(built.values.Find(domain, raw));
+          EXPECT_NE(expected.back(), kInvalidValue);
+          ++checked;
+        }
+      }
+      const auto span = built.ref_values.Of(id, slot);
+      ASSERT_EQ(std::vector<ValueId>(span.begin(), span.end()), expected)
+          << "ref " << id << " slot " << slot;
+    }
+  }
+  EXPECT_GT(checked, dataset.num_references());
+}
+
+Dataset SmallCoraForIds() {
+  datagen::CoraConfig config;
+  config.num_papers = 30;
+  config.num_citations = 300;
+  config.num_authors = 60;
+  config.num_venue_series = 12;
+  return datagen::GenerateCora(config);
+}
+
+TEST(RefValueIdsTest, BatchBuildRecordsEveryReference) {
+  const ReconcilerOptions options = ReconcilerOptions::DepGraph();
+  for (const Dataset& dataset :
+       {datagen::GeneratePim(SmallPim(81)), SmallCoraForIds()}) {
+    const BuiltGraph built = BuildDependencyGraph(dataset, options);
+    ExpectRefValueIdsMatchPool(dataset, built);
+  }
+}
+
+TEST(RefValueIdsTest, IncrementalFlushesRecordEachReferenceOnce) {
+  // Flush() interns the batch before candidate generation and then
+  // extends the graph, which interns again: the second pass must find
+  // every reference recorded and append nothing.
+  for (const Dataset& dataset :
+       {datagen::GeneratePim(SmallPim(83)), SmallCoraForIds()}) {
+    for (const bool store : {true, false}) {
+      ReconcilerOptions options = ReconcilerOptions::DepGraph();
+      options.value_store = store;
+      IncrementalReconciler inc(Dataset(dataset.schema()), options);
+      int flushes = 0;
+      for (RefId id = 0; id < dataset.num_references(); ++id) {
+        inc.AddReference(dataset.reference(id), /*gold_entity=*/-1,
+                         dataset.provenance(id));
+        if (id % 53 == 0) {
+          inc.Flush();
+          ++flushes;
+          ASSERT_EQ(inc.built().ref_values.num_refs(), id + 1);
+        }
+      }
+      inc.Flush();
+      EXPECT_GT(flushes, 3);
+      ExpectRefValueIdsMatchPool(inc.dataset(), inc.built());
+    }
+  }
 }
 
 }  // namespace

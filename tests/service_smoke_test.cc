@@ -232,7 +232,9 @@ TEST(HttpOverloadTest, ShedsWith503AndRetryAfterWhenSaturated) {
     const auto res = HttpFetch(server.port(), "GET", "/slow");
     // The admitted request is never shed, even while later ones are.
     EXPECT_TRUE(res.ok()) << res.status().ToString();
-    if (res.ok()) EXPECT_EQ(res.value().status, 200);
+    if (res.ok()) {
+      EXPECT_EQ(res.value().status, 200);
+    }
   });
   while (entered.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -324,7 +326,9 @@ TEST(ReconcileServeTest, SigtermDrainsInFlightSealsWalAndExitsZero) {
                                        "email": ["lamport@msr.com"]}}],
             "flush": true})");
     EXPECT_TRUE(res.ok()) << res.status().ToString();
-    if (res.ok()) EXPECT_EQ(res.value().status, 200) << res.value().body;
+    if (res.ok()) {
+      EXPECT_EQ(res.value().status, 200) << res.value().body;
+    }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_EQ(::kill(pid, SIGTERM), 0);

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/incremental.h"
@@ -365,7 +368,7 @@ TEST(ValueStoreTest, TinyMemoBoundDegradesWithoutChangingOutput) {
     // Small enough to force shard evictions, large enough to stay active.
     ReconcilerOptions options = ReconcilerOptions::DepGraph();
     options.num_threads = threads;
-    options.sim_memo_max_bytes = 64 * SimMemo::kEntryBytes * 10;
+    options.sim_memo_max_bytes = 64 * SimMemo::kSlotBytes * 10;
     ExpectStoreInvisible(dataset, options,
                          "evicting threads=" + std::to_string(threads));
     options.value_store = true;
@@ -417,6 +420,156 @@ TEST(ValueStoreTest, IncrementalBatchesMatch) {
     clusters.push_back(result.cluster);
   }
   EXPECT_EQ(clusters[0], clusters[1]);
+}
+
+// ---- SimMemo slot table ---------------------------------------------------
+
+/// Deterministic stand-in comparator: a distinct float per key, so a hit
+/// that returned another key's entry would show.
+double FakeSim(int evidence, ValueId v1, ValueId v2) {
+  const int64_t lo = std::min(v1, v2);
+  const int64_t hi = std::max(v1, v2);
+  return static_cast<double>((lo * 7919 + hi * 104729 + evidence * 31) %
+                             100003) /
+         100003.0;
+}
+
+/// (evidence, v1, v2) for key index k: v1 != v2, and both id orders occur.
+struct KeyOf {
+  int evidence;
+  ValueId v1;
+  ValueId v2;
+};
+KeyOf MakeTestKey(int64_t k) {
+  const ValueId a = static_cast<ValueId>(k / 3);
+  const ValueId b = a + 1 + static_cast<ValueId>(k % 3);
+  return KeyOf{static_cast<int>(k % 5), (k & 1) ? a : b, (k & 1) ? b : a};
+}
+
+TEST(SimMemoTest, ConcurrentOverlappingLookupsMissOncePerDistinctKey) {
+  SimMemo memo;
+  memo.set_max_bytes(int64_t{64} << 20);
+  constexpr int kThreads = 4;
+  constexpr int64_t kSpan = 20000;
+  // Thread t covers [t * kSpan / 2, t * kSpan / 2 + kSpan): neighbours
+  // overlap by half, and every thread walks its range twice.
+  std::vector<int64_t> hits(kThreads, 0), misses(kThreads, 0),
+      lookups(kThreads, 0), wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const int64_t begin = t * kSpan / 2;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (int64_t k = begin; k < begin + kSpan; ++k) {
+          const KeyOf key = MakeTestKey(k);
+          const float got = memo.LookupOrCompute(
+              key.evidence, key.v1, key.v2,
+              [&] { return FakeSim(key.evidence, key.v1, key.v2); },
+              &hits[t], &misses[t]);
+          ++lookups[t];
+          if (got != static_cast<float>(
+                         FakeSim(key.evidence, key.v1, key.v2))) {
+            ++wrong[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  int64_t total_hits = 0, total_misses = 0, total_lookups = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0) << "thread " << t;
+    total_hits += hits[t];
+    total_misses += misses[t];
+    total_lookups += lookups[t];
+  }
+  const int64_t distinct = (kThreads - 1) * kSpan / 2 + kSpan;
+  EXPECT_EQ(total_misses, distinct);
+  EXPECT_EQ(total_hits + total_misses, total_lookups);
+  EXPECT_EQ(memo.evictions(), 0);
+  EXPECT_EQ(memo.bypasses(), 0);
+}
+
+TEST(SimMemoTest, GrowsPastOneHundredThousandEntries) {
+  SimMemo memo;
+  memo.set_max_bytes(int64_t{64} << 20);
+  constexpr int64_t kKeys = 150000;
+  int64_t hits = 0, misses = 0;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    const KeyOf key = MakeTestKey(k);
+    memo.LookupOrCompute(
+        key.evidence, key.v1, key.v2,
+        [&] { return FakeSim(key.evidence, key.v1, key.v2); }, &hits,
+        &misses);
+  }
+  EXPECT_EQ(misses, kKeys);
+  EXPECT_EQ(hits, 0);
+  // Every entry survived the doublings: reading back never recomputes.
+  for (int64_t k = 0; k < kKeys; ++k) {
+    const KeyOf key = MakeTestKey(k);
+    const float got = memo.LookupOrCompute(
+        key.evidence, key.v1, key.v2, [] { return -1.0; }, &hits, &misses);
+    ASSERT_EQ(got, static_cast<float>(FakeSim(key.evidence, key.v1, key.v2)))
+        << "key " << k;
+  }
+  EXPECT_EQ(hits, kKeys);
+  EXPECT_EQ(misses, kKeys);
+  EXPECT_EQ(memo.evictions(), 0);
+  // Slot arrays at load <= 7/10 hold at least 10/7 slots per entry.
+  EXPECT_GE(memo.bytes(), kKeys * SimMemo::kSlotBytes * 10 / 7);
+  EXPECT_LE(memo.bytes(), memo.max_bytes());
+}
+
+TEST(SimMemoTest, SmallCapEvictsAndNeverExceedsTheBound) {
+  SimMemo memo;
+  memo.set_max_bytes(64 * SimMemo::kSlotBytes * 32);  // 32 slots a shard.
+  int64_t hits = 0, misses = 0;
+  for (int64_t k = 0; k < 20000; ++k) {
+    const KeyOf key = MakeTestKey(k % 5000);  // Re-requests after clears.
+    const float got = memo.LookupOrCompute(
+        key.evidence, key.v1, key.v2,
+        [&] { return FakeSim(key.evidence, key.v1, key.v2); }, &hits,
+        &misses);
+    ASSERT_EQ(got, static_cast<float>(FakeSim(key.evidence, key.v1, key.v2)));
+    ASSERT_LE(memo.bytes(), memo.max_bytes()) << "after lookup " << k;
+  }
+  EXPECT_GT(memo.evictions(), 0);
+  EXPECT_EQ(memo.bypasses(), 0);
+  EXPECT_EQ(hits + misses, 20000);
+
+  // Lowering the bound drops shards that no longer fit.
+  memo.set_max_bytes(64 * SimMemo::kSlotBytes * SimMemo::kMinSlots);
+  EXPECT_LE(memo.bytes(), memo.max_bytes());
+  const KeyOf key = MakeTestKey(1);
+  memo.LookupOrCompute(
+      key.evidence, key.v1, key.v2,
+      [&] { return FakeSim(key.evidence, key.v1, key.v2); }, &hits, &misses);
+  EXPECT_LE(memo.bytes(), memo.max_bytes());
+}
+
+TEST(SimMemoTest, TinyCapBypasses) {
+  for (const int64_t cap : {int64_t{0}, int64_t{64},
+                            64 * SimMemo::kSlotBytes * SimMemo::kMinSlots -
+                                1}) {
+    SimMemo memo;
+    memo.set_max_bytes(cap);
+    int64_t hits = 0, misses = 0;
+    for (int round = 0; round < 2; ++round) {
+      for (int64_t k = 0; k < 100; ++k) {
+        const KeyOf key = MakeTestKey(k);
+        const float got = memo.LookupOrCompute(
+            key.evidence, key.v1, key.v2,
+            [&] { return FakeSim(key.evidence, key.v1, key.v2); }, &hits,
+            &misses);
+        ASSERT_EQ(got,
+                  static_cast<float>(FakeSim(key.evidence, key.v1, key.v2)));
+      }
+    }
+    EXPECT_EQ(hits, 0) << "cap " << cap;
+    EXPECT_EQ(misses, 200) << "cap " << cap;
+    EXPECT_EQ(memo.bypasses(), 200) << "cap " << cap;
+    EXPECT_EQ(memo.bytes(), 0) << "cap " << cap;
+  }
 }
 
 }  // namespace
