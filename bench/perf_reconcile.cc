@@ -62,7 +62,7 @@ void BM_DepGraphReconcile(benchmark::State& state) {
   state.counters["pairs/s"] = benchmark::Counter(
       static_cast<double>(pairs_scored), benchmark::Counter::kIsRate);
   // End-to-end throughput in input references per second — the headline
-  // number bench/perf_shard gates at the million-reference scale.
+  // number bench/perf_scaling reports at the million-reference scale.
   state.counters["references_per_sec"] = benchmark::Counter(
       static_cast<double>(refs_processed), benchmark::Counter::kIsRate);
 }

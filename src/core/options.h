@@ -121,18 +121,6 @@ struct ReconcilerOptions {
   /// Output is identical for every value (see runtime/parallel.h).
   int num_threads = 1;
 
-  /// Canopy-sharded reconciliation (src/shard/, DESIGN.md §14): partition
-  /// the references by blocking key into this many shards, stage every
-  /// intra-shard candidate pair's evidence shard-parallel on the runtime
-  /// pool (per-shard budget epochs), stage the cross-shard pairs in a
-  /// boundary pass, then solve in the single canonical order — output is
-  /// byte-identical to the monolithic run for every shard and thread
-  /// count. 1 (default) = the monolithic staging layout. Only honored by
-  /// entry points that route through shard::ShardedReconcile
-  /// (reconcile_cli --shards, bench/perf_shard, tests); Reconciler::Run
-  /// itself never shards.
-  int num_shards = 1;
-
   /// Execution budget for one run (one batch Run() or one incremental
   /// Flush()): wall-clock deadline, solver iteration and merge limits,
   /// soft memory cap. Default = unlimited. Exhaustion never aborts: the

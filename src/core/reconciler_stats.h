@@ -75,23 +75,6 @@ struct ReconcileStats {
   int64_t num_parallel_scored = 0;
   int64_t num_score_hits = 0;
 
-  // Canopy-sharded reconciliation counters (src/shard/, DESIGN.md §14).
-  // All zero on the monolithic solve.
-  /// Shards the references were partitioned into (0 = not sharded).
-  int64_t num_shards = 0;
-  /// Candidate pairs whose members landed in different shards; their
-  /// nodes are built only in the residual boundary pass.
-  int64_t num_boundary_pairs = 0;
-  /// Merges committed inside the per-shard solves.
-  int64_t num_shard_merges = 0;
-  /// Merges committed by the residual boundary pass (cross-shard entity
-  /// repairs the per-shard solves could not see).
-  int64_t num_boundary_merges = 0;
-  /// Wall time of the parallel per-shard solves and of the residual
-  /// boundary pass (both included in build/solve_seconds' totals).
-  double shard_seconds = 0;
-  double boundary_seconds = 0;
-
   /// Heap footprint of the dependency graph's CSR storage
   /// (DependencyGraph::bytes), split by pool family: node array + static
   /// evidence, edge pools, and pair indexes + per-reference node lists.

@@ -379,7 +379,7 @@ std::vector<int> FixedPointSolver::Closure(
   // representatives depend on union order (union by size), so equivalent
   // merge sequences could label the same partition differently; the
   // minimum member is a stable, order-independent id that byte-identity
-  // contracts (src/shard/, incremental flushes) can compare directly.
+  // contracts (thread sweeps, incremental flushes) can compare directly.
   std::vector<int> cluster(dataset_.num_references());
   std::vector<int> canonical(dataset_.num_references(), -1);
   for (int i = 0; i < dataset_.num_references(); ++i) {

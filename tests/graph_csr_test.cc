@@ -1,9 +1,10 @@
 // Determinism sweep for the CSR dependency graph (DESIGN.md §13):
-// datasets × threads {1, 2, 4, 8} × {evidence_cache, constraints, budgets,
-// enrichment} must produce byte-identical partitions and stats at every
-// thread count — candidate generation and graph-build staging run on the
-// pool, the fixed-point drain stays serial — and, with enrichment on, the
-// golden fingerprints committed below. The goldens pin the output across
+// datasets × threads {1, 2, 4, 8} × {evidence_cache, constraints, budgets}
+// × inputs {defaults, enrichment off, popular-key pruning} must produce
+// byte-identical partitions and stats at every thread count — candidate
+// generation and graph-build staging run on the pool, the fixed-point
+// drain stays serial — and, with the default input, the golden
+// fingerprints committed below. The goldens pin the output across
 // commits: a change in CSR layout, graph surgery, or budget probing that
 // alters any partition, merge order, or deterministic counter fails here
 // even if it is self-consistent across thread counts.
@@ -114,6 +115,26 @@ constexpr GoldenRow kGolden[] = {
     {"Cora", false, false, true, {0x87c0ee777da2fef1ull, 25, 1250, 92, 33606, 55569}},
 };
 
+/// The inputs each (cache, constraints, budget) configuration runs on. The
+/// defaults are checked against the goldens; the other two only against
+/// their own one-thread run. kPruned is the million-reference
+/// configuration's popular-key pruning (max_block_size) shrunk to these
+/// datasets: blocks larger than kPrunedBlockSize are dropped.
+enum class Input { kDefault, kNoEnrichment, kPruned };
+constexpr int kPrunedBlockSize = 8;
+
+const char* InputName(Input input) {
+  switch (input) {
+    case Input::kDefault:
+      return "default";
+    case Input::kNoEnrichment:
+      return "enrichment-off";
+    case Input::kPruned:
+      return "pruned";
+  }
+  return "?";
+}
+
 bool RegenMode() { return std::getenv("RECON_REGEN_GOLDENS") != nullptr; }
 
 void PrintGoldenRow(const std::string& dataset, bool cache, bool constraints,
@@ -153,11 +174,16 @@ void SweepDataset(const Dataset& dataset, const std::string& dataset_name) {
   for (const bool evidence_cache : {true, false}) {
     for (const bool constraints : {true, false}) {
       for (const bool budget : {false, true}) {
-        for (const bool enrichment : {true, false}) {
+        int64_t default_candidates = 0;
+        for (const Input input :
+             {Input::kDefault, Input::kNoEnrichment, Input::kPruned}) {
           ReconcilerOptions options = ReconcilerOptions::DepGraph();
           options.evidence_cache = evidence_cache;
           options.constraints = constraints;
-          options.enrichment = enrichment;
+          options.enrichment = input != Input::kNoEnrichment;
+          if (input == Input::kPruned) {
+            options.max_block_size = kPrunedBlockSize;
+          }
           if (budget) {
             // Deterministic limits only (merge + iteration budgets probe at
             // fixed commit boundaries); a deadline would make the stop
@@ -171,23 +197,30 @@ void SweepDataset(const Dataset& dataset, const std::string& dataset_name) {
                        " cache=" + std::to_string(evidence_cache) +
                        " constraints=" + std::to_string(constraints) +
                        " budget=" + std::to_string(budget) +
-                       " enrichment=" + std::to_string(enrichment));
+                       " input=" + InputName(input));
 
           // Reference: one thread.
           options.num_threads = 1;
           const ReconcileResult serial = Reconciler(options).Run(dataset);
           const Fingerprint serial_fp = FingerprintOf(serial);
 
-          // Goldens cover enrichment on; with it off the one-thread run is
-          // the only reference.
-          if (enrichment && RegenMode()) {
-            PrintGoldenRow(dataset_name, evidence_cache, constraints, budget,
-                           serial_fp);
-          } else if (enrichment) {
-            const GoldenRow* golden =
-                FindGolden(dataset_name, evidence_cache, constraints, budget);
-            ASSERT_NE(golden, nullptr) << "no golden row for this config";
-            ExpectFingerprint(golden->want, serial_fp);
+          // Goldens cover the default input; for the others the one-thread
+          // run is the only reference.
+          if (input == Input::kDefault) {
+            default_candidates = serial.stats.num_candidates;
+            if (RegenMode()) {
+              PrintGoldenRow(dataset_name, evidence_cache, constraints,
+                             budget, serial_fp);
+            } else {
+              const GoldenRow* golden = FindGolden(
+                  dataset_name, evidence_cache, constraints, budget);
+              ASSERT_NE(golden, nullptr) << "no golden row for this config";
+              ExpectFingerprint(golden->want, serial_fp);
+            }
+          }
+          if (input == Input::kPruned) {
+            // The pruning must bind, or this input tests nothing new.
+            EXPECT_LT(serial.stats.num_candidates, default_candidates);
           }
 
           if (budget) {
@@ -199,8 +232,8 @@ void SweepDataset(const Dataset& dataset, const std::string& dataset_name) {
             options.num_threads = threads;
             const ReconcileResult parallel = Reconciler(options).Run(dataset);
             // Byte-identical partitions, merge sequence, and stats —
-            // against the one-thread reference AND (transitively, with
-            // enrichment on) the golden.
+            // against the one-thread reference AND (transitively, for the
+            // default input) the golden.
             EXPECT_EQ(serial.cluster, parallel.cluster);
             EXPECT_EQ(serial.merged_pairs, parallel.merged_pairs);
             ExpectFingerprint(serial_fp, FingerprintOf(parallel));

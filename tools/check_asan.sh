@@ -3,13 +3,12 @@
 # §10–§11): budget exhaustion / cancellation / fault-injected degradation,
 # the malformed-input extraction paths (truncated BibTeX, garbled email,
 # NUL-ridden CSV), the value-store / similarity-memo degradation modes
-# (shard eviction and bypass under tiny byte bounds), the CSR-graph
+# (memo-shard eviction and bypass under tiny byte bounds), the CSR-graph
 # determinism sweep (datasets × threads × cache/constraints/budgets/
 # enrichment against committed golden fingerprints, frozen budget stops
-# included), the canopy-shard layer (shard-vs-monolithic
-# byte-identity across shards × threads, DESIGN.md §14), the service smoke
-# test (a live daemon on an ephemeral loopback port serving query, ingest,
-# malformed-request, and overload traffic end-to-end over HTTP, plus a
+# included), the service smoke test (a live daemon on an ephemeral
+# loopback port serving query, ingest, malformed-request, and overload
+# traffic end-to-end over HTTP, plus a
 # SIGTERM drain of the real binary), and the crash-recovery sweep (WAL +
 # checkpoint recovery across every injected I/O fault point, fault kind,
 # and thread count, DESIGN.md §15 — tools/check_crash.sh adds a live
@@ -32,7 +31,7 @@ ASAN_DIR="${1:-build-asan}"
 echo "== [1/2] configure + build ${ASAN_DIR} (-DRECON_SANITIZE=address-undefined)"
 cmake -B "${ASAN_DIR}" -S . -DRECON_SANITIZE=address-undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${ASAN_DIR}" -j
+cmake --build "${ASAN_DIR}" -j"$(nproc)"
 
 echo
 echo "== [2/2] ctest -L asan under AddressSanitizer + UBSan"

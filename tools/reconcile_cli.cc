@@ -32,7 +32,6 @@
 #include "extract/csv_import.h"
 #include "extract/extractor.h"
 #include "model/text_io.h"
-#include "shard/sharded_reconciler.h"
 #include "strsim/simd_dispatch.h"
 #include "util/string_util.h"
 #include "util/version.h"
@@ -83,10 +82,6 @@ void PrintUsage(std::ostream& out) {
          "  --threads N             worker threads (0 = all hardware "
          "threads);\n"
          "                          output is byte-identical for every N\n"
-         "  --shards N              canopy-sharded staging (depgraph only,\n"
-         "                          DESIGN.md §14): stage evidence in N\n"
-         "                          shards + a boundary pass, then solve\n"
-         "                          canonically; byte-identical for every N\n"
          "\n"
          "execution budget (DESIGN.md §10) — on exhaustion the run "
          "never aborts;\n"
@@ -251,14 +246,6 @@ int main(int argc, char** argv) {
       if (!ParsePositive("--scale", argv[++i], &demo_scale)) {
         return kExitUsage;
       }
-    } else if (arg == "--shards" && i + 1 < argc) {
-      char* end = nullptr;
-      options.num_shards = static_cast<int>(std::strtol(argv[++i], &end, 10));
-      if (end == argv[i] || *end != '\0' || options.num_shards < 1) {
-        std::cerr << "--shards needs a count >= 1, got \"" << argv[i]
-                  << "\"\n";
-        return kExitUsage;
-      }
     } else if (arg == "--algo" && i + 1 < argc) {
       algo = argv[++i];
     } else if (arg == "--no-constraints") {
@@ -363,12 +350,8 @@ int main(int argc, char** argv) {
     const IndepDec reconciler(options);
     result = reconciler.Run(data);
   } else if (algo == "depgraph") {
-    if (options.num_shards > 1) {
-      result = shard::ShardedReconcile(data, options);
-    } else {
-      const Reconciler reconciler(options);
-      result = reconciler.Run(data);
-    }
+    const Reconciler reconciler(options);
+    result = reconciler.Run(data);
   } else if (algo == "fs") {
     FellegiSunterOptions fs_options;
     fs_options.blocking = options;
@@ -397,15 +380,6 @@ int main(int argc, char** argv) {
             << result.stats.num_merges << " merges; build "
             << result.stats.build_seconds << "s solve "
             << result.stats.solve_seconds << "s\n";
-  if (result.stats.num_shards > 1) {
-    std::cout << "Shards: " << result.stats.num_shards << " shards, "
-              << result.stats.num_boundary_pairs << " boundary pairs; "
-              << result.stats.num_shard_merges << " shard merges + "
-              << result.stats.num_boundary_merges
-              << " boundary merges; staging "
-              << result.stats.shard_seconds << "s + boundary "
-              << result.stats.boundary_seconds << "s\n";
-  }
   if (result.stats.graph_bytes > 0) {
     std::cout << "Graph memory: " << result.stats.graph_bytes
               << " B (nodes " << result.stats.graph_node_bytes

@@ -2,28 +2,30 @@
 # Runs every perf_* bench with --json and collects BENCH_<name>.json files
 # so perf trajectories can be tracked across commits.
 #
-# Usage: tools/run_benches.sh [--gate-speedup] [--gate-shard]
-#        [--gate-kernels] [build_dir] [out_dir]
+# Usage: tools/run_benches.sh [--gate-speedup] [--gate-kernels]
+#        [build_dir] [out_dir]
 #   build_dir  defaults to build (must already be built)
 #   out_dir    defaults to the current directory
 #
-# --gate-speedup: after the run, assert from BENCH_scaling.json that the
-#   end-to-end Reconciler::Run on PIM B is no slower at 4 threads than at
-#   1: the median of the interleaved threads=4 repetitions must be <= the
-#   threads=1 median, so parallelism never loses. The gate auto-skips when
-#   the hardware-metadata row the benches emit reports nprocs_online <= 2
-#   (e.g. the 1-CPU container the committed baselines were recorded on) —
-#   a machine that cannot run 4 threads concurrently cannot express the
-#   comparison, and a failure there would only measure scheduler noise.
-#   It also skips below RECON_BENCH_SCALE=1: the gate is defined on PIM B
-#   at full scale, and a ~0.1 s run at scale 0.25 is dominated by thread
-#   start-up, so its 4-vs-1 order flips between runs.
+# Gates run after the benches, and only when every bench succeeded. Every
+# requested gate runs (one failing gate does not hide the next), each
+# prints PASS, FAIL or SKIPPED, and the script exits non-zero if any gate
+# failed.
 #
-# --gate-shard: after the run, assert from BENCH_shard.json that (a) every
-#   sharded run's output was byte-identical to the monolithic run — checked
-#   on every machine, no exceptions — and (b) the 4-shard run at 4 threads
-#   beat the monolithic run by more than 1.3x. The speedup half follows the
-#   same convention as --gate-speedup: it auto-skips when nprocs_online <= 2.
+# --gate-speedup: assert from BENCH_scaling.json that end-to-end
+#   Reconciler::Run is no slower at 4 threads than at 1, so parallelism
+#   never loses: the median of the interleaved threads=4 repetitions must
+#   be <= the threads=1 median. It has two halves, reported separately:
+#   the PIM B curve (`section: "run"`) and the million-reference run
+#   (`section: "run_1m"`, 26x PIM B). Both auto-skip when the
+#   hardware-metadata row the benches emit reports nprocs_online <= 2 (e.g.
+#   the 1-CPU container the committed baselines were recorded on) — a
+#   machine that cannot run 4 threads concurrently cannot express the
+#   comparison, and a failure there would only measure scheduler noise.
+#   The PIM B half also skips below RECON_BENCH_SCALE=1: it is defined at
+#   full scale, and a ~0.1 s run at scale 0.25 is dominated by thread
+#   start-up, so its 4-vs-1 order flips between runs. The 1M half has no
+#   scale skip, because that row ignores RECON_BENCH_SCALE.
 #
 # --gate-kernels: after the run, assert from BENCH_strsim.json that the
 #   Myers bit-parallel Levenshtein kernel is at least 2x faster than the
@@ -38,13 +40,12 @@
 set -euo pipefail
 
 GATE_SPEEDUP=0
-GATE_SHARD=0
 GATE_KERNELS=0
 while [[ "${1:-}" == --gate-* ]]; do
   case "$1" in
     --gate-speedup) GATE_SPEEDUP=1 ;;
-    --gate-shard) GATE_SHARD=1 ;;
     --gate-kernels) GATE_KERNELS=1 ;;
+    *) echo "error: unknown gate $1" >&2; exit 2 ;;
   esac
   shift
 done
@@ -81,97 +82,69 @@ for bench in "${BENCH_DIR}"/perf_*; do
   fi
 done
 
-if [[ ${GATE_SPEEDUP} -eq 1 && ${status} -eq 0 ]]; then
-  scaling="${OUT_DIR}/BENCH_scaling.json"
-  echo "== gate: end-to-end Run median at 4 threads <= 1 thread (${scaling})"
-  if ! python3 - "${scaling}" <<'PYEOF'
+# Gate scripts exit 0 for PASS, 77 for SKIPPED and anything else for FAIL.
+readonly SKIP=77
+gate_names=()
+gate_results=()
+failed=0
+
+# run_gate <name> <python script> [args...]: runs one gate, records its
+# outcome.
+run_gate() {
+  local name="$1" script="$2"
+  shift 2
+  echo "== gate: ${name}"
+  local rc=0
+  python3 -c "${script}" "$@" || rc=$?
+  local result=PASS
+  if [[ ${rc} -eq ${SKIP} ]]; then
+    result=SKIPPED
+  elif [[ ${rc} -ne 0 ]]; then
+    result=FAIL
+    failed=1
+  fi
+  gate_names+=("${name}")
+  gate_results+=("${result}")
+}
+
+# Threads=4 median <= threads=1 median over the rows of one section.
+# Arguments: BENCH_scaling.json, section name, 1 to skip below scale 1.
+read -r -d '' SPEEDUP_GATE <<'PYEOF' || true
 import json, sys
 
-rows = json.load(open(sys.argv[1]))
+path, section, scale_skip = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+rows = json.load(open(path))
 meta = next((r for r in rows if "nprocs_online" in r), None)
 if meta is None:
-    sys.exit("gate: no hardware-metadata row in BENCH_scaling.json")
+    sys.exit(f"gate: no hardware-metadata row in {path}")
 nprocs = int(meta["nprocs_online"])
 if nprocs <= 2:
     print(f"gate: SKIPPED — nprocs_online={nprocs}; a machine with <= 2 "
           "online CPUs cannot run 4 threads concurrently, so the gate "
           "would only measure scheduler noise")
-    sys.exit(0)
+    sys.exit(77)
 scale = float(meta.get("bench_scale", 1.0))
-if scale < 1.0:
-    print(f"gate: SKIPPED — bench_scale={scale}; the gate is defined on "
-          "PIM B at scale 1, and a smaller run is dominated by thread "
-          "start-up noise")
-    sys.exit(0)
-run = {r["threads"]: r for r in rows if r.get("section") == "run"}
+if scale_skip and scale < 1.0:
+    print(f"gate: SKIPPED — bench_scale={scale}; this half is defined at "
+          "scale 1, and a smaller run is dominated by thread start-up noise")
+    sys.exit(77)
+run = {r["threads"]: r for r in rows if r.get("section") == section}
 if 1 not in run or 4 not in run:
-    sys.exit("gate: no threads=1/threads=4 run rows in BENCH_scaling.json")
+    sys.exit(f"gate: no threads=1/threads=4 {section} rows in {path}")
 one, four = run[1], run[4]
 def spread(r):
     return (f"median {r['run_seconds_median']:.3f}s, range "
             f"{r['run_seconds_min']:.3f}-{r['run_seconds_max']:.3f}s "
             f"over {r['reps']} reps")
-msg = (f"threads=4 {spread(four)} vs threads=1 {spread(one)} "
+msg = (f"{section}: threads=4 {spread(four)} vs threads=1 {spread(one)} "
        f"(nprocs_online={nprocs})")
 if float(four["run_seconds_median"]) <= float(one["run_seconds_median"]):
     print(f"gate: PASS — {msg}")
 else:
     sys.exit(f"gate: FAIL — {msg}")
 PYEOF
-  then
-    status=1
-  fi
-fi
 
-if [[ ${GATE_SHARD} -eq 1 && ${status} -eq 0 ]]; then
-  shard="${OUT_DIR}/BENCH_shard.json"
-  echo "== gate: shard identity (always) + speedup > 1.3x at 4 shards (${shard})"
-  if ! python3 - "${shard}" <<'PYEOF'
-import json, sys
-
-rows = json.load(open(sys.argv[1]))
-shard_rows = [r for r in rows if r.get("section") == "shard"]
-if not shard_rows:
-    sys.exit("gate: no shard rows in BENCH_shard.json")
-
-# Identity is unconditional: a machine that cannot express the speedup can
-# still (and must) produce the byte-identical output.
-broken = [r for r in shard_rows if r.get("identical") != "true"]
-if broken:
-    sys.exit("gate: FAIL — sharded output differed from the monolithic run "
-             f"at shards={[r.get('shards') for r in broken]}")
-print(f"gate: identity PASS — {len(shard_rows)} sharded runs byte-identical")
-
-meta = next((r for r in rows if "nprocs_online" in r), None)
-if meta is None:
-    sys.exit("gate: no hardware-metadata row in BENCH_shard.json")
-nprocs = int(meta["nprocs_online"])
-if nprocs <= 2:
-    print(f"gate: speedup SKIPPED — nprocs_online={nprocs}; a machine with "
-          "<= 2 online CPUs cannot run the shard lanes concurrently, so the "
-          "speedup gate would only measure scheduler noise")
-    sys.exit(0)
-four = [r for r in shard_rows
-        if r.get("shards") == 4 and r.get("threads") == 4]
-if not four:
-    sys.exit("gate: no shards=4 threads=4 row in BENCH_shard.json")
-worst = min(float(r["shard_speedup"]) for r in four)
-if worst > 1.3:
-    print(f"gate: speedup PASS — shard speedup {worst:.2f}x > 1.3x at 4 "
-          f"shards (nprocs_online={nprocs})")
-else:
-    sys.exit(f"gate: FAIL — shard speedup {worst:.2f}x <= 1.3x at 4 shards "
-             f"(nprocs_online={nprocs})")
-PYEOF
-  then
-    status=1
-  fi
-fi
-
-if [[ ${GATE_KERNELS} -eq 1 && ${status} -eq 0 ]]; then
-  strsim="${OUT_DIR}/BENCH_strsim.json"
-  echo "== gate: bit-parallel Levenshtein >= 2x scalar (${strsim})"
-  if ! python3 - "${strsim}" <<'PYEOF'
+read -r -d '' KERNELS_GATE <<'PYEOF' || true
 import json, sys
 
 doc = json.load(open(sys.argv[1]))
@@ -184,7 +157,7 @@ if dispatch == "scalar":
           f"{context.get('simd_detected', 'unknown')}); the bit-parallel "
           "kernels are not active at this dispatch level, so the rows "
           "measure the same reference code")
-    sys.exit(0)
+    sys.exit(77)
 
 def cpu_time(name):
     rows = [b for b in doc.get("benchmarks", [])
@@ -206,9 +179,35 @@ else:
              f"faster than scalar ({scalar:.0f} ns vs {bitpar:.0f} ns, "
              f"dispatch={dispatch}; need >= 2x)")
 PYEOF
-  then
-    status=1
-  fi
+
+requested=()
+if [[ ${GATE_SPEEDUP} -eq 1 ]]; then
+  requested+=("speedup PIM B" "speedup 1M")
+fi
+if [[ ${GATE_KERNELS} -eq 1 ]]; then
+  requested+=("kernels")
 fi
 
-exit ${status}
+if [[ ${status} -ne 0 ]]; then
+  for name in "${requested[@]}"; do
+    echo "gate ${name}: SKIPPED (a bench failed)"
+  done
+  exit ${status}
+fi
+
+scaling="${OUT_DIR}/BENCH_scaling.json"
+if [[ ${GATE_SPEEDUP} -eq 1 ]]; then
+  run_gate "speedup PIM B" "${SPEEDUP_GATE}" "${scaling}" run 1
+  run_gate "speedup 1M" "${SPEEDUP_GATE}" "${scaling}" run_1m 0
+fi
+if [[ ${GATE_KERNELS} -eq 1 ]]; then
+  run_gate "kernels" "${KERNELS_GATE}" "${OUT_DIR}/BENCH_strsim.json"
+fi
+
+if [[ ${#gate_names[@]} -gt 0 ]]; then
+  echo "== gate summary"
+  for i in "${!gate_names[@]}"; do
+    echo "gate ${gate_names[$i]}: ${gate_results[$i]}"
+  done
+fi
+exit ${failed}
